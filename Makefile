@@ -26,16 +26,16 @@ lint:
 check: build vet lint test
 
 # bench-json emits the benchmark archive for the current PR (see
-# EXPERIMENTS.md): WGS ablations (shuffle, fast kernels) + I/O-model micro +
-# projection pushdown + the planner's decode/wire ablation + per-column codec
-# micro + the per-kernel reference-vs-optimized pairs + the multi-process
-# shuffle transport, as machine-readable test2json events. Override BENCH_N
-# to write a different archive generation.
+# EXPERIMENTS.md): the pipelined-shuffle WGS run + I/O-model micro +
+# projection pushdown + the planner's declared-vs-undeclared decode/wire
+# comparison + per-column codec micro + the per-kernel reference-vs-optimized
+# pairs + the multi-process shuffle transport, as machine-readable test2json
+# events. Override BENCH_N to write a different archive generation.
 BENCH_N ?= 10
 BENCH_FILE = BENCH_$(BENCH_N).json
 
 bench-json:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkAblationPipelinedShuffle|BenchmarkAblationFastKernels|BenchmarkShuffleMicro|BenchmarkProjectionPushdown|BenchmarkProjectionPlanner' -benchtime 3x . > $(BENCH_FILE)
+	$(GO) test -json -run '^$$' -bench 'BenchmarkAblationPipelinedShuffle|BenchmarkShuffleMicro|BenchmarkProjectionPushdown|BenchmarkProjectionPlanner' -benchtime 3x . > $(BENCH_FILE)
 	$(GO) test -json -run '^$$' -bench 'BenchmarkColumnar' -benchtime 100x ./internal/colfmt >> $(BENCH_FILE)
 	$(GO) test -json -run '^$$' -bench 'BenchmarkKernel' -benchmem -benchtime 1s ./internal/caller ./internal/align ./internal/genome ./internal/compress >> $(BENCH_FILE)
 	$(GO) test -json -run '^$$' -bench 'BenchmarkShuffleTransport' -benchtime 3x ./internal/engine/exec/mproc >> $(BENCH_FILE)

@@ -235,41 +235,29 @@ func BenchmarkAblationFusion(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPipelinedShuffle flips the push-based shuffle against the
-// classic two-barrier execution on the WGS workload, and additionally flips
-// map-side combine to expose the census byte reduction. Wall time per run is
-// the benchmark's own ns/op; the extra metrics report the engine's pipeline
-// accounting (FetchWait > 0 and PipelineOverlap > 0 only in pipelined mode)
-// and the census shuffle-write volume.
+// BenchmarkAblationPipelinedShuffle runs the WGS workload on a 4-worker pool
+// through the pipelined push-based shuffle with map-side combine. Wall time
+// per run is the benchmark's own ns/op; the extra metrics report the
+// engine's pipeline accounting (FetchWait, PipelineOverlap) and the census
+// shuffle-write volume.
 func BenchmarkAblationPipelinedShuffle(b *testing.B) {
 	// SmallScale pins Workers to 1 for reproducibility of CPU accounting; the
-	// shuffle ablation is about overlap, so it needs a real worker pool.
+	// pipelined shuffle is about overlap, so it needs a real worker pool.
 	const workers = 4
-	for _, cfg := range []struct {
-		name string
-		mut  func(*baseline.WGSOptions)
-	}{
-		{"pipelined", func(*baseline.WGSOptions) {}},
-		{"barrier", func(o *baseline.WGSOptions) { o.BarrierShuffle = true }},
-		{"no-combine", func(o *baseline.WGSOptions) { o.NoMapSideCombine = true }},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := baseline.GPFOptions()
-				cfg.mut(&opts)
-				run, mk, gb := ablateRun(b, opts, workers)
-				b.ReportMetric(mk, "sim-2048-min")
-				b.ReportMetric(gb, "shuffle-GB")
-				b.ReportMetric(float64(run.Metrics.TotalFetchWait().Milliseconds()), "fetchwait-ms")
-				b.ReportMetric(float64(run.Metrics.TotalPipelineOverlap().Milliseconds()), "overlap-ms")
-				b.ReportMetric(float64(censusWriteBytes(run.Metrics))/1e3, "census-KB")
-			}
-		})
-	}
+	b.Run("pipelined", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			run, mk, gb := ablateRun(b, baseline.GPFOptions(), workers)
+			b.ReportMetric(mk, "sim-2048-min")
+			b.ReportMetric(gb, "shuffle-GB")
+			b.ReportMetric(float64(run.Metrics.TotalFetchWait().Milliseconds()), "fetchwait-ms")
+			b.ReportMetric(float64(run.Metrics.TotalPipelineOverlap().Milliseconds()), "overlap-ms")
+			b.ReportMetric(float64(censusWriteBytes(run.Metrics))/1e3, "census-KB")
+		}
+	})
 }
 
-// BenchmarkProjectionPushdown flips columnar partition storage against the
-// generic gob fallback on a coordinate-only census stage (the repartitioner's
+// BenchmarkProjectionPushdown compares columnar partition storage with gob
+// storage on a coordinate-only census stage (the repartitioner's
 // load-census pattern: it reads RefID/Pos and nothing else). ns/op is the
 // census wall time; the extra metrics report the engine's decode accounting —
 // the columnar run decodes a fraction of the stored bytes and prunes the
@@ -289,13 +277,13 @@ func BenchmarkProjectionPushdown(b *testing.B) {
 	}
 }
 
-// BenchmarkProjectionPlanner runs the three-mode planner ablation (manual
-// ReadingFields view / planner-inferred effects / planner disabled) on a
-// census plus a coordinate repartition. The headline metrics are the shuffle
-// wire bytes: only the planner propagates the downstream Rebuilds demand
-// backwards through the shuffle, so its map tasks encode two columns where
-// the other modes put whole records on the wire. The run fails outright if
-// the planner does not shuffle strictly fewer encoded bytes.
+// BenchmarkProjectionPlanner runs the planner comparison (declared effects
+// versus the same ops undeclared) on a census plus a coordinate repartition.
+// The headline metrics are the shuffle wire bytes: with declarations the
+// planner propagates the downstream Rebuilds demand backwards through the
+// shuffle, so its map tasks encode two columns where the undeclared plan
+// puts whole records on the wire. The run fails outright if the planner does
+// not shuffle strictly fewer encoded bytes.
 func BenchmarkProjectionPlanner(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.ProjectionPlanner(scale())
@@ -303,10 +291,10 @@ func BenchmarkProjectionPlanner(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.Planner.WireBytes)/1e6, "planner-wire-MB")
-		b.ReportMetric(float64(res.Manual.WireBytes)/1e6, "manual-wire-MB")
+		b.ReportMetric(float64(res.Undeclared.WireBytes)/1e6, "undeclared-wire-MB")
 		b.ReportMetric(100*res.WireReduction(), "wire-reduction-%")
 		b.ReportMetric(float64(res.Planner.CensusDecoded)/1e6, "planner-decoded-MB")
-		b.ReportMetric(float64(res.Disabled.CensusDecoded)/1e6, "disabled-decoded-MB")
+		b.ReportMetric(float64(res.Undeclared.CensusDecoded)/1e6, "undeclared-decoded-MB")
 		b.ReportMetric(100*res.DecodeReduction(), "decode-reduction-%")
 	}
 }
@@ -349,14 +337,13 @@ func (c blockIOCodec) Unmarshal(block []byte) ([]string, error) {
 	return out, nil
 }
 
-// BenchmarkShuffleMicro isolates the shuffle itself (the WGS ablation above
-// is dominated by aligner CPU, burying the shuffle delta in run noise): a
+// BenchmarkShuffleMicro isolates the shuffle itself (the WGS benchmark above
+// is dominated by aligner CPU, burying shuffle effects in run noise): a
 // skewed dataset — one straggler map partition holding as much data as all
 // the others combined — shuffled through a codec that charges a per-block
-// I/O latency. Under the barrier, every worker idles until the straggler map
-// finishes and reduce-side block fetches all queue after it; the pipelined
-// execution decodes the already-pushed buckets during the straggler's
-// in-flight blocks, so the fetch latency is hidden under map execution.
+// I/O latency. The pipelined execution decodes the already-pushed buckets
+// during the straggler's in-flight blocks, so the fetch latency is hidden
+// under map execution.
 func BenchmarkShuffleMicro(b *testing.B) {
 	const (
 		workers    = 4
@@ -386,54 +373,21 @@ func BenchmarkShuffleMicro(b *testing.B) {
 		}
 		return h
 	}
-	for _, barrier := range []bool{false, true} {
-		name := "pipelined"
-		if barrier {
-			name = "barrier"
+	b.Run("pipelined", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ctx := engine.NewContext(workers)
+			d := engine.WithCodec(engine.FromPartitions(ctx, parts), blockIOCodec{perByte: 120 * time.Nanosecond})
+			out, err := engine.PartitionBy("micro", d, reduces, route)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n, err := engine.Count("n", out); err != nil || n != (small+stragglerX)*perSmall {
+				b.Fatalf("count %d err %v", n, err)
+			}
+			b.ReportMetric(float64(ctx.Metrics().TotalFetchWait().Milliseconds()), "fetchwait-ms")
+			b.ReportMetric(float64(ctx.Metrics().TotalPipelineOverlap().Milliseconds()), "overlap-ms")
 		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx := engine.NewContext(workers)
-				ctx.DisablePipelinedShuffle = barrier
-				d := engine.WithCodec(engine.FromPartitions(ctx, parts), blockIOCodec{perByte: 120 * time.Nanosecond})
-				out, err := engine.PartitionBy("micro", d, reduces, route)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n, err := engine.Count("n", out); err != nil || n != (small+stragglerX)*perSmall {
-					b.Fatalf("count %d err %v", n, err)
-				}
-				b.ReportMetric(float64(ctx.Metrics().TotalFetchWait().Milliseconds()), "fetchwait-ms")
-				b.ReportMetric(float64(ctx.Metrics().TotalPipelineOverlap().Milliseconds()), "overlap-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationFastKernels flips the profile-driven hot kernels (scaled
-// pair-HMM, banded alignment, table/word-parallel base ops) against their
-// reference implementations on the full WGS pipeline. ns/op is the
-// end-to-end wall; the call count is reported to make silent output drift
-// visible (the experiments.Kernels runner additionally asserts VCF
-// byte-identity between the two modes).
-func BenchmarkAblationFastKernels(b *testing.B) {
-	for _, cfg := range []struct {
-		name    string
-		disable bool
-	}{
-		{"fast", false},
-		{"reference", true},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := baseline.GPFOptions()
-				opts.NoFastKernels = cfg.disable
-				run, mk, _ := ablateRun(b, opts, scale().Workers)
-				b.ReportMetric(mk, "sim-2048-min")
-				b.ReportMetric(float64(run.NumCalls), "calls")
-			}
-		})
-	}
+	})
 }
 
 // BenchmarkAblationDynamicRepartition flips §4.4's load balancing: without

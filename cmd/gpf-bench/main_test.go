@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/experiments"
@@ -10,7 +11,7 @@ func TestRunnersCoverEveryExperiment(t *testing.T) {
 	want := map[string]bool{
 		"table1": false, "fig5": false, "table3": false, "table4": false,
 		"fig10": false, "fig11": false, "fig12": false, "fig13": false, "table5": false,
-		"projection": false, "projection-planner": false, "kernels": false,
+		"projection": false, "projection-planner": false,
 		"scaling": false, "wgs": false,
 	}
 	for _, r := range runners() {
@@ -41,6 +42,24 @@ func TestRunnerExecutes(t *testing.T) {
 		}
 		if len(lines) == 0 {
 			t.Fatal("no output lines")
+		}
+	}
+}
+
+// TestWGSHeaderReportsExecutorProcs: the wgs report header shows the
+// executor's real process count, not the -procs flag (which only the mproc
+// backend consumes).
+func TestWGSHeaderReportsExecutorProcs(t *testing.T) {
+	s := experiments.SmallScale()
+	s.GenomeLen, s.Coverage = 10000, 4
+	for _, backend := range []string{"inproc", "sim"} {
+		lines, err := experiments.RunWGSOn(s, backend, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "WGS pipeline on backend=" + backend + " (procs=1, slots=1)"
+		if len(lines) == 0 || !strings.HasPrefix(lines[0], want) {
+			t.Fatalf("%s header = %q, want prefix %q", backend, lines, want)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package align
 import (
 	"math/rand"
 	"testing"
-
-	"github.com/gpf-go/gpf/internal/kernels"
 )
 
 // mutateRead copies a window slice and applies substitutions plus indels of
@@ -102,8 +100,8 @@ func TestKernelFitAlignBandedAdversarial(t *testing.T) {
 	}
 }
 
-// TestKernelFitAlignDispatch: the public dispatcher must return full-DP
-// results with kernels disabled and identical results with them enabled.
+// TestKernelFitAlignDispatch: the dispatcher (banded kernel with full-DP
+// fallback) must return exactly the full-DP oracle's result.
 func TestKernelFitAlignDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	bases := []byte("ACGT")
@@ -117,11 +115,8 @@ func TestKernelFitAlignDispatch(t *testing.T) {
 		off := rng.Intn(n - rl + 1)
 		read := mutateRead(rng, window[off:off+rl], 0.05, rng.Intn(2), 6)
 
-		prev := kernels.SetEnabled(false)
-		slow := fitAlign(read, window, DefaultScoring())
-		kernels.SetEnabled(true)
+		slow := fitAlignFull(read, window, DefaultScoring())
 		fast := fitAlign(read, window, DefaultScoring())
-		kernels.SetEnabled(prev)
 		if fast.Score != slow.Score || fast.RefStart != slow.RefStart || fast.Cigar.String() != slow.Cigar.String() {
 			t.Fatalf("dispatch mismatch (m=%d n=%d): fast=%+v slow=%+v", len(read), n, fast, slow)
 		}

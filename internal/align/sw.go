@@ -1,9 +1,6 @@
 package align
 
-import (
-	"github.com/gpf-go/gpf/internal/kernels"
-	"github.com/gpf-go/gpf/internal/sam"
-)
+import "github.com/gpf-go/gpf/internal/sam"
 
 // Scoring follows BWA-MEM's defaults: match +1, mismatch -4, gap open -6,
 // gap extend -1.
@@ -33,13 +30,12 @@ type fitResult struct {
 // traceback). It returns the best score, the window offset where the
 // alignment begins, and an M/I/D CIGAR covering the whole read.
 //
-// When the fast kernels are enabled it dispatches to the banded DP
-// (banded.go), which fills only a diagonal band of the matrix and proves its
-// own answer identical via the out-of-band score certificate — falling back
-// to the full DP on the rare reads whose banded optimum cannot rule out an
-// out-of-band path.
+// It dispatches to the banded DP (banded.go), which fills only a diagonal
+// band of the matrix and proves its own answer identical via the
+// out-of-band score certificate — falling back to the full DP on the rare
+// reads whose banded optimum cannot rule out an out-of-band path.
 func fitAlign(read, window []byte, sc Scoring) fitResult {
-	if kernels.Enabled() && bandedEligible(len(read), len(window), sc) {
+	if bandedEligible(len(read), len(window), sc) {
 		if fit, ok := fitAlignBanded(read, window, sc); ok {
 			return fit
 		}
@@ -48,9 +44,9 @@ func fitAlign(read, window []byte, sc Scoring) fitResult {
 }
 
 // fitAlignFull is the reference implementation: the complete (m+1)×(n+1)
-// Gotoh matrix. It is the oracle for the banded kernel's equivalence
-// property tests and the DisableFastKernels ablation path, and the fallback
-// when the banded certificate fails.
+// Gotoh matrix. It is the runtime fallback when the banded certificate
+// fails (or the scoring is ineligible for banding) and the oracle for the
+// banded kernel's equivalence property tests.
 func fitAlignFull(read, window []byte, sc Scoring) fitResult {
 	m, n := len(read), len(window)
 	if m == 0 {

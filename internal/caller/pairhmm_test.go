@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/bufpool"
-	"github.com/gpf-go/gpf/internal/kernels"
 )
 
 // randomHMMCase builds a (read, qual, hap) triple: a haplotype, a read copied
@@ -47,24 +46,6 @@ func randomHMMCase(rng *rand.Rand, maxHap, maxRead int) (read, qual, hap []byte)
 		qual = qual[:len(qual)/2]
 	}
 	return read, qual, hap
-}
-
-// TestKernelPairHMMHoistedBitIdentical asserts the ISSUE's hoisting property:
-// the hoisted kernel performs the same float64 operations as the reference,
-// just fewer times, so its result must be bit-for-bit identical.
-func TestKernelPairHMMHoistedBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for c := 0; c < 400; c++ {
-		read, qual, hap := randomHMMCase(rng, 200, 100)
-		want := pairHMMReference(read, qual, hap)
-		rows := bufpool.GetF64(6 * (len(hap) + 1))
-		got := pairHMMHoisted(read, qual, hap, rows)
-		bufpool.PutF64(rows)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("case %d: hoisted=%x (%v) reference=%x (%v)",
-				c, math.Float64bits(got), got, math.Float64bits(want), want)
-		}
-	}
 }
 
 // TestKernelPairHMMScaledEquivalence checks the scaled linear-space kernel
@@ -123,9 +104,10 @@ func TestKernelPairHMMScaledRescale(t *testing.T) {
 	}
 }
 
-// TestKernelPairHMMDispatch checks that the public entry points follow the
-// kernels switch: reference results when disabled, fast-kernel results when
-// enabled, and consistency between single and batch entry points.
+// TestKernelPairHMMDispatch checks that the public entry points run the
+// scaled kernel — bit-identical to calling it directly, within 1e-9 relative
+// of the log-space reference oracle — and that the single and batch entry
+// points agree.
 func TestKernelPairHMMDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var reads, quals, haps [][]byte
@@ -133,54 +115,41 @@ func TestKernelPairHMMDispatch(t *testing.T) {
 		r, q, h := randomHMMCase(rng, 150, 80)
 		reads, quals, haps = append(reads, r), append(quals, q), append(haps, h)
 	}
-
-	prev := kernels.SetEnabled(false)
-	defer kernels.SetEnabled(prev)
-	slowL := PairHMMBatch(reads, quals, haps)
+	L := PairHMMBatch(reads, quals, haps)
 	for i := range reads {
 		for h := range haps {
+			rows := bufpool.GetF64(6 * (len(haps[h]) + 1))
+			scaled := pairHMMScaled(reads[i], quals[i], haps[h], rows)
+			bufpool.PutF64(rows)
+			if math.Float64bits(L[i][h]) != math.Float64bits(scaled) {
+				t.Fatalf("batch [%d][%d] = %v, scaled kernel %v", i, h, L[i][h], scaled)
+			}
+			if single := PairHMMLogLikelihood(reads[i], quals[i], haps[h]); math.Float64bits(single) != math.Float64bits(scaled) {
+				t.Fatalf("single [%d][%d] = %v, scaled kernel %v", i, h, single, scaled)
+			}
 			want := pairHMMReference(reads[i], quals[i], haps[h])
-			if math.Float64bits(slowL[i][h]) != math.Float64bits(want) {
-				t.Fatalf("disabled batch [%d][%d] = %v, reference %v", i, h, slowL[i][h], want)
-			}
-			if got := PairHMMLogLikelihood(reads[i], quals[i], haps[h]); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("disabled single [%d][%d] = %v, reference %v", i, h, got, want)
-			}
-		}
-	}
-
-	kernels.SetEnabled(true)
-	fastL := PairHMMBatch(reads, quals, haps)
-	for i := range reads {
-		for h := range haps {
-			single := PairHMMLogLikelihood(reads[i], quals[i], haps[h])
-			if math.Float64bits(fastL[i][h]) != math.Float64bits(single) {
-				t.Fatalf("fast batch [%d][%d] = %v, single %v", i, h, fastL[i][h], single)
-			}
-			rel := math.Abs(fastL[i][h]-slowL[i][h]) / math.Abs(slowL[i][h])
-			if rel > 1e-9 {
-				t.Fatalf("fast vs reference [%d][%d]: %v vs %v rel=%g", i, h, fastL[i][h], slowL[i][h], rel)
+			if rel := math.Abs(L[i][h]-want) / math.Abs(want); rel > 1e-9 {
+				t.Fatalf("batch vs reference [%d][%d]: %v vs %v rel=%g", i, h, L[i][h], want, rel)
 			}
 		}
 	}
 }
 
 func TestKernelPairHMMEmptyInputs(t *testing.T) {
-	for _, fast := range []bool{true, false} {
-		prev := kernels.SetEnabled(fast)
-		if ll := PairHMMLogLikelihood(nil, nil, []byte("ACGT")); !math.IsInf(ll, -1) {
-			t.Fatalf("fast=%v: empty read gave %v, want -Inf", fast, ll)
-		}
-		if ll := PairHMMLogLikelihood([]byte("ACGT"), []byte("IIII"), nil); !math.IsInf(ll, -1) {
-			t.Fatalf("fast=%v: empty hap gave %v, want -Inf", fast, ll)
-		}
-		L := PairHMMBatch([][]byte{{}}, [][]byte{{}}, [][]byte{[]byte("ACGT")})
-		if !math.IsInf(L[0][0], -1) {
-			t.Fatalf("fast=%v: batch empty read gave %v, want -Inf", fast, L[0][0])
-		}
-		kernels.SetEnabled(prev)
+	if ll := PairHMMLogLikelihood(nil, nil, []byte("ACGT")); !math.IsInf(ll, -1) {
+		t.Fatalf("empty read gave %v, want -Inf", ll)
 	}
-	L := PairHMMBatch(nil, nil, nil)
+	if ll := PairHMMLogLikelihood([]byte("ACGT"), []byte("IIII"), nil); !math.IsInf(ll, -1) {
+		t.Fatalf("empty hap gave %v, want -Inf", ll)
+	}
+	if ll := pairHMMReference(nil, nil, []byte("ACGT")); !math.IsInf(ll, -1) {
+		t.Fatalf("reference: empty read gave %v, want -Inf", ll)
+	}
+	L := PairHMMBatch([][]byte{{}}, [][]byte{{}}, [][]byte{[]byte("ACGT")})
+	if !math.IsInf(L[0][0], -1) {
+		t.Fatalf("batch empty read gave %v, want -Inf", L[0][0])
+	}
+	L = PairHMMBatch(nil, nil, nil)
 	if len(L) != 0 {
 		t.Fatalf("empty batch: got %d rows", len(L))
 	}
@@ -233,9 +202,7 @@ func TestPhredToProbLowQualClamps(t *testing.T) {
 	for b := 0; b < 256; b++ {
 		p := phredToProb([]byte{byte(b)}, 0)
 		e := emitTab[b]
-		if e.pMatch != 1-p || e.pMismatch != p/3 ||
-			math.Float64bits(e.logMatch) != math.Float64bits(math.Log(1-p)) ||
-			math.Float64bits(e.logMismatch) != math.Float64bits(math.Log(p/3)) {
+		if e.pMatch != 1-p || e.pMismatch != p/3 {
 			t.Fatalf("emitTab[%d] inconsistent with phredToProb", b)
 		}
 	}
@@ -266,16 +233,6 @@ func BenchmarkKernelPairHMMReference(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		pairHMMReference(read, qual, hap)
-	}
-}
-
-func BenchmarkKernelPairHMMHoisted(b *testing.B) {
-	read, qual, hap := benchHMMInputs()
-	rows := bufpool.GetF64(6 * (len(hap) + 1))
-	defer bufpool.PutF64(rows)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pairHMMHoisted(read, qual, hap, rows)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/gpf-go/gpf/internal/colfmt"
+	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/sam"
 )
@@ -267,26 +268,28 @@ func TestCorruptionDoesNotPanic(t *testing.T) {
 // dataset under a codec.
 func identityRecords(_ int, recs []sam.Record) ([]sam.Record, error) { return recs, nil }
 
-// runCoordCensus materializes recs as serialized blocks (columnar, or gob
-// under the ablation) and runs a coordinate-only census over a projection
-// view, returning the census result and the session metrics.
-func runCoordCensus(t *testing.T, recs []sam.Record, disableColumnar bool) (map[int]int, engine.Metrics) {
+// gobCodec is the row-format baseline the columnar codec is compared with:
+// a gob block can only decode whole.
+var gobCodec engine.Serializer[sam.Record] = compress.GobCodec[sam.Record]{}
+
+// runCoordCensus materializes recs as serialized blocks under codec and runs
+// a census declaring a coordinate-only read, returning the census result and
+// the session metrics.
+func runCoordCensus(t *testing.T, recs []sam.Record, codec engine.Serializer[sam.Record]) (map[int]int, engine.Metrics) {
 	t.Helper()
 	ctx := engine.NewContext(4)
 	ctx.StoreSerialized = true
-	ctx.DisableColumnar = disableColumnar
 	ds := engine.Parallelize(ctx, recs, 8)
-	stored, err := engine.MapPartitions("store", ds, colfmt.Codec{}, identityRecords)
+	stored, err := engine.MapPartitions("store", ds, codec, identityRecords)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := stored.Force(); err != nil {
 		t.Fatal(err)
 	}
-	view := engine.ReadingFields(stored, colfmt.FieldCoord)
-	counts, err := engine.CountByKey("census", view, func(r sam.Record) int {
+	counts, err := engine.CountByKey("census", stored, func(r sam.Record) int {
 		return int(r.RefID)<<16 | int(r.Pos>>10)
-	})
+	}, engine.ReadsOnly(colfmt.FieldCoord))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,13 +298,13 @@ func runCoordCensus(t *testing.T, recs []sam.Record, disableColumnar bool) (map[
 
 // TestCoordCensusDecodesFewerBytesThanGob is the PR's acceptance criterion: a
 // coordinate-only stage over columnar-stored records decodes strictly fewer
-// bytes than the gob path (DisableColumnar), prunes a positive byte volume,
-// and produces the identical census.
+// bytes than the same census over gob-stored records, prunes a positive byte
+// volume, and produces the identical census.
 func TestCoordCensusDecodesFewerBytesThanGob(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	recs := randBatch(r, 3000)
-	colCounts, colM := runCoordCensus(t, recs, false)
-	gobCounts, gobM := runCoordCensus(t, recs, true)
+	colCounts, colM := runCoordCensus(t, recs, colfmt.Codec{})
+	gobCounts, gobM := runCoordCensus(t, recs, gobCodec)
 	if !reflect.DeepEqual(colCounts, gobCounts) {
 		t.Fatal("columnar and gob census disagree")
 	}
@@ -321,19 +324,19 @@ func TestCoordCensusDecodesFewerBytesThanGob(t *testing.T) {
 }
 
 // TestProjectionDeterminism: the projected columnar census is deterministic
-// across repeated runs and identical to the unprojected and gob paths. CI
+// across repeated runs and identical to the gob baseline. CI
 // runs this under -race.
 func TestProjectionDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	recs := randBatch(r, 1500)
-	first, _ := runCoordCensus(t, recs, false)
+	first, _ := runCoordCensus(t, recs, colfmt.Codec{})
 	for i := 0; i < 3; i++ {
-		again, _ := runCoordCensus(t, recs, false)
+		again, _ := runCoordCensus(t, recs, colfmt.Codec{})
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("columnar census differs on rerun %d", i)
 		}
 	}
-	gob, _ := runCoordCensus(t, recs, true)
+	gob, _ := runCoordCensus(t, recs, gobCodec)
 	if !reflect.DeepEqual(first, gob) {
 		t.Fatal("columnar census differs from gob baseline")
 	}

@@ -137,25 +137,6 @@ func TestPackSeqRejectsN(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeSeq(t *testing.T) {
-	seq := []byte("ACGTACG") // non-multiple of 4
-	enc, err := EncodeSeq(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeSeq(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, seq) {
-		t.Fatalf("round trip = %q", back)
-	}
-	// ~4x compression: 7 bases in 1 varint byte + 2 payload bytes.
-	if len(enc) > 3 {
-		t.Fatalf("encoded %d bytes", len(enc))
-	}
-}
-
 func TestConvertRestoreSpecials(t *testing.T) {
 	seq := []byte("GGTTNCCTA")
 	qual := []byte("CCCB#FFFF")

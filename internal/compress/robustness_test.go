@@ -21,7 +21,6 @@ func TestUnmarshalRobustness(t *testing.T) {
 		GobCodec[fastq.Pair]{}.Unmarshal(data)
 		GobCodec[sam.Record]{}.Unmarshal(data)
 		DecodeSeqQualBlock(data)
-		DecodeSeq(data)
 		DecodeQualBlock(data, []int{4})
 		return true
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"github.com/gpf-go/gpf/internal/genome"
-	"github.com/gpf-go/gpf/internal/kernels"
 )
 
 // The sequence codec implements Fig 4 of the paper: bases are stored in
@@ -62,8 +61,8 @@ var unpack4Tab = func() (t [256][4]byte) {
 }()
 
 // unpackSeq decodes length bases from packed, returning the bases and the
-// number of bytes consumed. It routes through Unpack2Bit so DecodeSeq shares
-// the word-parallel fast path.
+// number of bytes consumed. It routes through Unpack2Bit's word-parallel
+// expansion.
 func unpackSeq(packed []byte, length int) ([]byte, int, error) {
 	// Validate against the available bytes before sizing the output: length
 	// may come from a corrupt header.
@@ -117,41 +116,6 @@ func restoreSpecials(seq, qual []byte) {
 	}
 }
 
-// Pack2Bit appends the 2-bit packed form of seq to dst, substituting code 0
-// ('A') for any non-ACGT byte instead of failing. Callers that must restore
-// the original bytes (e.g. the columnar codec's seq column) record the
-// substituted positions out of band; packSeq remains the strict variant used
-// by the quality-coupled Fig 4 path.
-func Pack2Bit(dst, seq []byte) []byte {
-	if kernels.Enabled() {
-		return pack2BitFast(dst, seq)
-	}
-	return pack2BitRef(dst, seq)
-}
-
-// pack2BitRef is the original per-base packer, kept as the equivalence
-// oracle and the DisableFastKernels path.
-func pack2BitRef(dst, seq []byte) []byte {
-	var cur byte
-	var n uint
-	for _, b := range seq {
-		code := genome.BaseCode(b)
-		if code < 0 {
-			code = 0
-		}
-		cur = cur<<2 | byte(code)
-		n++
-		if n == 4 {
-			dst = append(dst, cur)
-			cur, n = 0, 0
-		}
-	}
-	if n > 0 {
-		dst = append(dst, cur<<(2*(4-n)))
-	}
-	return dst
-}
-
 // packCodeTab folds genome.BaseCode and the non-ACGT→0 substitution into one
 // table so the packer is a pure gather (no sign test per base).
 var packCodeTab = func() (t [256]byte) {
@@ -163,13 +127,18 @@ var packCodeTab = func() (t [256]byte) {
 	return
 }()
 
-// pack2BitFast is the word-parallel packer: the output is grown once, then
-// each iteration gathers eight input bytes through packCodeTab into two
-// packed bytes — no rolling shift register, no per-base append, and the
-// bounds checks amortize over the unrolled body. Byte-identical to
-// pack2BitRef (property-tested, and the colfmt fuzz corpus crosses it with
-// the reference unpacker).
-func pack2BitFast(dst, seq []byte) []byte {
+// Pack2Bit appends the 2-bit packed form of seq to dst, substituting code 0
+// ('A') for any non-ACGT byte instead of failing. Callers that must restore
+// the original bytes (e.g. the columnar codec's seq column) record the
+// substituted positions out of band; packSeq remains the strict variant used
+// by the quality-coupled Fig 4 path.
+//
+// The packer is word-parallel: the output is grown once, then each
+// iteration gathers eight input bytes through packCodeTab into two packed
+// bytes — no rolling shift register, no per-base append, and the bounds
+// checks amortize over the unrolled body. It is property-tested
+// byte-identical to the per-base reference packer in the test files.
+func Pack2Bit(dst, seq []byte) []byte {
 	need := (len(seq) + 3) / 4
 	n := len(dst)
 	dst = slices.Grow(dst, need)[:n+need]
@@ -207,28 +176,8 @@ func Unpack2Bit(dst, packed []byte) (int, error) {
 	if len(packed) < need {
 		return 0, fmt.Errorf("compress: packed sequence truncated: need %d bytes, have %d", need, len(packed))
 	}
-	if kernels.Enabled() {
-		unpack2BitFast(dst, packed)
-	} else {
-		unpack2BitRef(dst, packed)
-	}
+	unpack2BitFast(dst, packed)
 	return need, nil
-}
-
-// unpack2BitRef is the original table-copy expansion, kept as the
-// equivalence oracle and the DisableFastKernels path. Bounds are already
-// checked by Unpack2Bit.
-func unpack2BitRef(dst, packed []byte) {
-	length := len(dst)
-	i := 0
-	for ; i+4 <= length; i += 4 {
-		copy(dst[i:i+4], unpack4Tab[packed[i/4]][:])
-	}
-	if i < length {
-		var tail [4]byte
-		copy(tail[:], unpack4Tab[packed[i/4]][:])
-		copy(dst[i:], tail[:length-i])
-	}
 }
 
 // unpack4LE holds unpack4Tab's four expanded bases as one little-endian
@@ -242,7 +191,9 @@ var unpack4LE = func() (t [256]uint32) {
 }()
 
 // unpack2BitFast is the word-parallel expansion: two packed bytes become one
-// 8-byte store per iteration. Byte-identical to unpack2BitRef.
+// 8-byte store per iteration. Bounds are already checked by Unpack2Bit;
+// property-tested byte-identical to the table-copy reference in the test
+// files.
 func unpack2BitFast(dst, packed []byte) {
 	length := len(dst)
 	i := 0
@@ -258,22 +209,4 @@ func unpack2BitFast(dst, packed []byte) {
 		binary.LittleEndian.PutUint32(tail[:], unpack4LE[packed[i/4]])
 		copy(dst[i:], tail[:length-i])
 	}
-}
-
-// EncodeSeq compresses one sequence (no quality coupling): uvarint length +
-// 2-bit payload. Ns are not allowed here; use the block codec for reads with
-// quality-coupled N handling. Exposed for reference-sequence storage.
-func EncodeSeq(seq []byte) ([]byte, error) {
-	out := binary.AppendUvarint(nil, uint64(len(seq)))
-	return packSeq(out, seq)
-}
-
-// DecodeSeq inverts EncodeSeq.
-func DecodeSeq(data []byte) ([]byte, error) {
-	length, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, fmt.Errorf("compress: bad sequence length header")
-	}
-	seq, _, err := unpackSeq(data[n:], int(length))
-	return seq, err
 }

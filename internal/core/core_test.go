@@ -5,9 +5,11 @@ import (
 	"testing/quick"
 
 	"github.com/gpf-go/gpf/internal/caller"
+	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/fastq"
 	"github.com/gpf-go/gpf/internal/genome"
+	"github.com/gpf-go/gpf/internal/sam"
 	"github.com/gpf-go/gpf/internal/vcf"
 )
 
@@ -568,14 +570,12 @@ func TestPipelineWithSerializedStorage(t *testing.T) {
 
 func TestCensusPlannerPruningWithoutAnnotations(t *testing.T) {
 	// The repartitioner census declares ReadsOnly(FieldCoord) and nothing
-	// else — no manual Force() + ReadingFields view remains in the process.
-	// The projection planner must derive the coordinate-only decode on its
-	// own: the columnar census must decode at least 90% fewer stored bytes
-	// than the same census over the gob fallback.
+	// else. The projection planner must derive the coordinate-only decode on
+	// its own: the census over columnar-stored records must decode at least
+	// 90% fewer stored bytes than the same census over gob-stored records.
 	run := func(columnar bool) (decoded, pruned int64) {
 		rt := testRuntime(t, 2)
 		rt.Engine.StoreSerialized = true
-		rt.Engine.DisableColumnar = !columnar
 		pairs := simPairs(t, rt, 6)
 		ds := PairsToRDD(rt, pairs, 4)
 		fq := DefinedFASTQPair("f", ds)
@@ -585,8 +585,12 @@ func TestCensusPlannerPruningWithoutAnnotations(t *testing.T) {
 		if err := p.Run(); err != nil {
 			t.Fatal(err)
 		}
-		// Materialize the aligned records as serialized blocks, then isolate
-		// the census read in the metrics.
+		// Materialize the aligned records as serialized blocks (columnar, or
+		// re-encoded as gob for the row-format baseline), then isolate the
+		// census read in the metrics.
+		if !columnar {
+			aligned.Data = engine.WithCodec(aligned.Data, engine.Serializer[sam.Record](compress.GobCodec[sam.Record]{}))
+		}
 		if err := aligned.Data.Force(); err != nil {
 			t.Fatal(err)
 		}

@@ -58,85 +58,108 @@ func TestReduceByKeyAggregates(t *testing.T) {
 	}
 }
 
+// TestCombineByKeyMatchesNoCombine: map-side combine is invisible in the
+// output — every reduce partition equals the plain-Go oracle that ships one
+// value per item and folds them on the reduce side.
 func TestCombineByKeyMatchesNoCombine(t *testing.T) {
 	items := intRange(600)
 	key := func(x int) int { return x % 21 }
-	run := func(disable bool) []Keyed[int] {
-		ctx := NewContext(3)
-		ctx.DisableMapSideCombine = disable
-		d := Parallelize(ctx, items, 5)
-		pairs, err := CombineByKey("cbk", d, 4, key,
-			func(int) int { return 1 },
-			func(c, _ int) int { return c + 1 },
-			func(a, b int) int { return a + b },
-			nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kvs, err := Collect("c", pairs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return kvs
+	create := func(int) int { return 1 }
+	merge := func(a, b int) int { return a + b }
+	ctx := NewContext(3)
+	d := Parallelize(ctx, items, 5)
+	pairs, err := CombineByKey("cbk", d, 4, key, create,
+		func(c, _ int) int { return c + 1 }, merge, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	combined, uncombined := run(false), run(true)
-	if !reflect.DeepEqual(combined, uncombined) {
-		t.Fatalf("combine ablation changed output:\n%v\n%v", combined, uncombined)
+	if err := pairs.Force(); err != nil {
+		t.Fatal(err)
+	}
+	want := uncombinedByKey(d.parts, 4, key, create, merge)
+	for r := range want {
+		got, err := pairs.partition(r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want[r]) {
+			t.Fatalf("partition %d: combined %v, uncombined oracle %v", r, got, want[r])
+		}
 	}
 }
 
 // TestCountByKeyCombineShipsFewerBytes is the byte-accounting claim behind
-// the census rewrite: the combined ReduceByKey census must record strictly
-// fewer shuffle-write bytes than the legacy serial-merge CountByKey, while
+// the census: the map-side-combined CountByKey must record strictly fewer
+// shuffle-write bytes than the same census without combine — one
+// (key, 1) pair per item routed by key through the same codec — while
 // producing identical counts.
 func TestCountByKeyCombineShipsFewerBytes(t *testing.T) {
 	items := intRange(4000)
 	key := func(x int) int { return x % 8 }
-	run := func(disable bool) (map[int]int, int64) {
-		ctx := NewContext(4)
-		ctx.DisableMapSideCombine = disable
-		d := Parallelize(ctx, items, 8)
-		counts, err := CountByKey("census", d, key)
-		if err != nil {
-			t.Fatal(err)
-		}
+	shuffleBytes := func(ctx *Context) int64 {
 		var wr int64
 		for _, s := range ctx.Metrics().Stages {
 			wr += s.ShuffleWriteBytes()
 		}
-		return counts, wr
+		return wr
 	}
-	combined, combinedBytes := run(false)
-	legacy, legacyBytes := run(true)
-	if !reflect.DeepEqual(combined, legacy) {
-		t.Fatalf("counts differ: %v vs %v", combined, legacy)
+
+	ctx := NewContext(4)
+	combined, err := CountByKey("census", Parallelize(ctx, items, 8), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	combinedBytes := shuffleBytes(ctx)
+
+	ctx = NewContext(4)
+	ones, err := Map("ones", Parallelize(ctx, items, 8), Serializer[Keyed[int]](KeyedIntCodec{}),
+		func(x int) Keyed[int] { return Keyed[int]{Key: key(x), Val: 1} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed, err := PartitionBy("census", ones, 8, func(kv Keyed[int]) int { return kv.Key })
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvs, err := Collect("collect", routed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncombined := map[int]int{}
+	for _, kv := range kvs {
+		uncombined[kv.Key] += kv.Val
+	}
+	uncombinedBytes := shuffleBytes(ctx)
+
+	if !reflect.DeepEqual(combined, uncombined) {
+		t.Fatalf("counts differ: %v vs %v", combined, uncombined)
 	}
 	if !reflect.DeepEqual(combined, countReference(items, key)) {
 		t.Fatal("counts wrong")
 	}
-	if legacyBytes == 0 {
-		t.Fatal("legacy census shipped no accounted bytes")
+	if uncombinedBytes == 0 {
+		t.Fatal("uncombined census shipped no accounted bytes")
 	}
-	if combinedBytes >= legacyBytes {
-		t.Fatalf("combined census must ship strictly fewer bytes: combined=%d legacy=%d",
-			combinedBytes, legacyBytes)
+	if combinedBytes >= uncombinedBytes {
+		t.Fatalf("combined census must ship strictly fewer bytes: combined=%d uncombined=%d",
+			combinedBytes, uncombinedBytes)
 	}
 }
 
+// TestCountByKeyPipelinedMatchesBarrier: the census through the pipelined
+// shuffle equals the serial plain-Go count at every worker count, including
+// W=1 where the pipelined pass degrades to the two-barrier schedule.
 func TestCountByKeyPipelinedMatchesBarrier(t *testing.T) {
 	items := intRange(900)
 	key := func(x int) int { return x % 13 }
-	run := func(barrier bool) map[int]int {
-		ctx := NewContext(4)
-		ctx.DisablePipelinedShuffle = barrier
-		counts, err := CountByKey("census", Parallelize(ctx, items, 6), key)
+	for _, workers := range []int{1, 4} {
+		counts, err := CountByKey("census", Parallelize(NewContext(workers), items, 6), key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return counts
-	}
-	if !reflect.DeepEqual(run(false), run(true)) {
-		t.Fatal("pipelined and barrier CountByKey disagree")
+		if !reflect.DeepEqual(counts, countReference(items, key)) {
+			t.Fatalf("W=%d: pipelined CountByKey disagrees with the serial count", workers)
+		}
 	}
 }
 

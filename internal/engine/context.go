@@ -7,23 +7,27 @@
 // called — they record a lineage node, and the planner fuses each maximal
 // chain of narrow ops into ONE task launch per partition when a barrier
 // forces the plan. Barriers are the actions (Collect, Reduce, Count,
-// CountByKey), the wide operations (PartitionBy, Repartition, Union) and
-// SortPartitions. Within a fused stage, items flow through the composed
+// CountByKey), the wide operations (PartitionBy, Repartition, CombineByKey)
+// and SortPartitions. Within a fused stage, items flow through the composed
 // closures with no intermediate partition storage and no intermediate codec
 // round-trip; the stage is recorded in metrics under the joined op names
 // (e.g. "align/bwa-mem+filter") with StageMetrics.FusedOps set to the chain
-// length. Context.DisableFusion switches back to eager one-stage-per-op
-// execution (the Spark-without-fusion ablation).
+// length. A caller that wants one stage per op calls Force after each op.
 //
-// Wide operations move data through a pipelined push-based hash shuffle
-// (see shuffle.go): map and reduce tasks share one worker-pool pass, each
-// reduce task consuming bucket (m, r) as soon as map task m publishes it,
-// with output kept deterministic by merging buckets in map-task order.
-// Context.DisablePipelinedShuffle restores the two-barrier shuffle for the
-// ablation. Shuffle byte volume is charged through a pluggable serializer;
-// actions return data to the driver. Per-task and per-stage metrics (wall
-// time, shuffle bytes, serialization time, fetch wait, GC pauses) feed the
-// cluster simulator and the blocked-time analysis of §5.3.
+// Wide operations are deferred until a downstream barrier forces them, so
+// the projection planner (planner.go) can resolve how many record fields
+// every edge must carry from the ops' declared field effects; an op that
+// declares nothing reads every field. They move data through a pipelined
+// push-based hash shuffle (see shuffle.go): map and reduce tasks share one
+// worker-pool pass, each reduce task consuming bucket (m, r) as soon as map
+// task m publishes it, with output kept deterministic by merging buckets in
+// map-task order. Shuffle byte volume is charged through a pluggable
+// serializer; actions return data to the driver. Per-task and per-stage
+// metrics (wall time, shuffle bytes, serialization time, fetch wait, GC
+// pauses) feed the cluster simulator and the blocked-time analysis of §5.3.
+//
+// Context.StoreSerialized is the one execution switch: the §4.2 serializer
+// tiers (Fig 11) are chosen by the codec a dataset carries.
 package engine
 
 import (
@@ -61,47 +65,6 @@ type Context struct {
 	// whenever a codec is attached — Spark's MEMORY_ONLY_SER mode that GPF
 	// relies on (§4.2). Off by default.
 	StoreSerialized bool
-
-	// DisableFusion turns off lazy narrow-stage fusion: every narrow op runs
-	// eagerly as its own stage with its own intermediate dataset (and, under
-	// StoreSerialized, its own codec round-trip). Used as the unfused
-	// baseline in the fusion ablation; off (fusion on) by default.
-	DisableFusion bool
-
-	// DisablePipelinedShuffle restores the two-barrier hash shuffle: every
-	// map task finishes bucketing and serializing before any reduce task
-	// starts. Used as the barrier baseline in the pipelined-shuffle ablation
-	// (see BenchmarkAblationPipelinedShuffle); off (pipelined) by default.
-	DisablePipelinedShuffle bool
-
-	// DisableColumnar suppresses columnar serializers: any attached codec
-	// that reports Columnar() true is replaced by the gob fallback for both
-	// cache materialization and shuffle transport, and with it projection
-	// pushdown (a gob block can only decode whole). Used as the row-format
-	// baseline in the columnar ablation; off (columnar on) by default.
-	DisableColumnar bool
-
-	// DisableProjectionPlanner turns off the lineage-level projection planner
-	// (planner.go): wide operations run eagerly at call time instead of
-	// deferring for demand resolution, every partition read demands all
-	// fields, and only explicit ReadingFields views still project — the
-	// pre-planner engine, kept as the ablation baseline. Off (planner on) by
-	// default.
-	DisableProjectionPlanner bool
-
-	// DisableMapSideCombine turns off pre-aggregation in CombineByKey (every
-	// item is shipped as its own pair) and routes CountByKey through the
-	// legacy serial driver merge that ships whole per-partition gob maps.
-	// Used as the no-combine baseline; off (combine on) by default.
-	DisableMapSideCombine bool
-
-	// DisableFastKernels reverts the profile-driven hot kernels (scaled
-	// pair-HMM, banded affine alignment, table-driven reverse complement,
-	// word-parallel 2-bit pack/unpack) to their reference implementations.
-	// The kernels live below the engine, so core.Pipeline.Run syncs this
-	// flag into the process-wide internal/kernels switch before executing;
-	// off (fast kernels on) by default.
-	DisableFastKernels bool
 
 	mu      sync.Mutex
 	metrics Metrics
@@ -166,13 +129,6 @@ func (c *Context) recordStage(s StageMetrics) {
 	c.metrics.Stages = append(c.metrics.Stages, s)
 }
 
-// runTasks executes fn for every partition index in [0, n) on the worker
-// pool, collecting per-task metrics. The first error (or recovered panic)
-// aborts the run and is returned.
-func (c *Context) runTasks(n int, fn func(task int, tm *TaskMetrics) error) ([]TaskMetrics, error) {
-	return c.runTasksLPT(n, nil, fn)
-}
-
 // lptOrder returns the dispatch order for n tasks under longest-processing-
 // time-first scheduling: indices sorted by descending size hint, stable so
 // equal-sized tasks keep index order (deterministic dispatch). A nil hint
@@ -193,34 +149,23 @@ func lptOrder(n int, hint func(task int) int64) []int {
 	return order
 }
 
-// runTasksLPT is runTasks with size-aware dispatch: tasks are handed to the
-// worker pool largest-first per hint (LPT scheduling), shrinking the
-// straggler tail on skewed partitions — the engine-level counterpart of the
-// coverage-skew motivation behind dynamic repartitioning (§4.4). Only the
-// dispatch order changes: results and metrics stay indexed by task, so the
-// output is identical whatever the hints say.
-func (c *Context) runTasksLPT(n int, hint func(task int) int64, fn func(task int, tm *TaskMetrics) error) ([]TaskMetrics, error) {
-	return c.runTasksOwned(n, hint, nil, fn)
-}
-
-// runTasksOwned is runTasksLPT restricted to the tasks this rank owns: under
-// an SPMD executor with procs > 1, only tasks with ownerOf(task) == rank are
-// dispatched locally (nil ownerOf means canonical task % procs ownership);
+// runTasksOwned executes fn for every task index in [0, n) that this rank
+// owns, collecting per-task metrics; the first error (or recovered panic)
+// aborts the run and is returned. Under an SPMD executor with procs > 1,
+// task t is owned by rank t % procs (the canonical partition ownership) and
 // the sibling ranks run the rest. Non-owned entries in the returned metrics
 // stay zero with Ran false, so a later cross-rank merge (Metrics.MergeRanks)
-// can splice each task's record from the rank that actually ran it. With one
-// process every task is owned and this is plain LPT dispatch.
-func (c *Context) runTasksOwned(n int, hint func(task int) int64, ownerOf func(task int) int, fn func(task int, tm *TaskMetrics) error) ([]TaskMetrics, error) {
+// can splice each task's record from the rank that actually ran it.
+//
+// Dispatch is size-aware: tasks are handed to the worker pool largest-first
+// per hint (LPT scheduling), shrinking the straggler tail on skewed
+// partitions — the engine-level counterpart of the coverage-skew motivation
+// behind dynamic repartitioning (§4.4). Only the dispatch order changes:
+// results and metrics stay indexed by task, so the output is identical
+// whatever the hints say.
+func (c *Context) runTasksOwned(n int, hint func(task int) int64, fn func(task int, tm *TaskMetrics) error) ([]TaskMetrics, error) {
 	procs, rank := c.procs(), c.rank()
-	owned := func(task int) bool {
-		if procs == 1 {
-			return true
-		}
-		if ownerOf != nil {
-			return ownerOf(task) == rank
-		}
-		return task%procs == rank
-	}
+	owned := func(task int) bool { return procs == 1 || task%procs == rank }
 	tms := make([]TaskMetrics, n)
 	errs := make([]error, n)
 	sem := make(chan struct{}, c.workers)

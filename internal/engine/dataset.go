@@ -47,19 +47,6 @@ type Dataset[T any] struct {
 	// zeroed fields.
 	hasContent bool
 	content    FieldMask
-	// hasProj/proj carry a ReadingFields projection: when set, serialized
-	// blocks decode through decodeCodec().Project(proj) if the codec is
-	// projectable. hasProj distinguishes "no declaration" (decode everything)
-	// from the legal zero mask (count-only decode).
-	hasProj bool
-	proj    FieldMask
-	// owner maps partition index to the SPMD rank that computes (and holds)
-	// it; nil selects the canonical p % procs assignment. Narrow operations
-	// preserve partitioning, so results inherit their source's owner; shuffle
-	// outputs revert to canonical (reduce tasks are assigned canonically);
-	// Union installs a custom mapping routing each output slot to its source
-	// partition's owner. Irrelevant (never consulted) with one process.
-	owner func(p int) int
 	// resident marks which partitions this process actually holds. Nil means
 	// fully resident: either a single-process run, or a replicated root
 	// (Parallelize/FromPartitions inputs every rank constructs identically).
@@ -129,7 +116,7 @@ func FromPartitions[T any](ctx *Context, parts [][]T) *Dataset[T] {
 // shuffle result when forced.
 func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 	if d.isLazy() {
-		res := &Dataset[T]{ctx: d.ctx, codec: codec, owner: d.owner}
+		res := &Dataset[T]{ctx: d.ctx, codec: codec}
 		res.plan = &lineage[T]{
 			nparts:   d.plan.nparts,
 			ops:      append([]string(nil), d.plan.ops...),
@@ -151,7 +138,7 @@ func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 		// codec variant materializes from when forced.
 		claimInput(d)
 		identity := fieldFX{declared: true}
-		res := &Dataset[T]{ctx: d.ctx, codec: codec, owner: d.owner}
+		res := &Dataset[T]{ctx: d.ctx, codec: codec}
 		res.plan = &lineage[T]{
 			nparts:   d.NumPartitions(),
 			ops:      []string{"recode"},
@@ -168,7 +155,7 @@ func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 		ctx: d.ctx, parts: d.parts, blocks: d.blocks, codec: codec,
 		plan: d.plan, meta: d.meta,
 		hasContent: d.hasContent, content: d.content,
-		owner: d.owner, resident: d.resident,
+		resident: d.resident,
 	}
 	if d.blocks != nil {
 		res.blockCodec = d.decodeCodec()
@@ -198,10 +185,9 @@ func (d *Dataset[T]) NumPartitions() int {
 }
 
 // effectiveCodec returns the serializer used to encode this dataset's
-// outputs: the attached codec, or the gob fallback when none is attached or
-// the DisableColumnar ablation suppresses a columnar codec.
+// outputs: the attached codec, or the gob fallback when none is attached.
 func (d *Dataset[T]) effectiveCodec() Serializer[T] {
-	return effectiveSerializer(d.ctx, d.codec)
+	return effectiveSerializer(d.codec)
 }
 
 // decodeCodec returns the serializer to decode stored blocks with: the codec
@@ -215,17 +201,11 @@ func (d *Dataset[T]) decodeCodec() Serializer[T] {
 }
 
 // ownerOf returns the rank that computes (and holds) partition p: the
-// dataset's custom owner mapping when installed, canonical p % procs
-// otherwise. Always 0 on single-process runs.
+// canonical p % procs assignment every stage dispatches by (narrow ops
+// preserve partitioning, and shuffle reduce tasks are assigned the same
+// way). Always 0 on single-process runs.
 func (d *Dataset[T]) ownerOf(p int) int {
-	procs := d.ctx.procs()
-	if procs == 1 {
-		return 0
-	}
-	if d.owner != nil {
-		return d.owner(p)
-	}
-	return p % procs
+	return p % d.ctx.procs()
 }
 
 // partition materializes partition p with full field demand — the
@@ -243,12 +223,7 @@ func (d *Dataset[T]) partition(p int, tm *TaskMetrics) ([]T, error) {
 // chain — and its inferred mask — into the caller's task). On a dataset the
 // planner materialized narrower than need, the partition is recomputed
 // through the retained chain closure; without one the read fails loudly.
-// This is the planner's choke point: Context.DisableProjectionPlanner
-// coerces every demand to FieldsAll here.
 func (d *Dataset[T]) partitionNeed(p int, tm *TaskMetrics, need FieldMask) ([]T, error) {
-	if d.ctx.DisableProjectionPlanner {
-		need = FieldsAll
-	}
 	if d.isLazy() {
 		return d.plan.compute(p, tm, need)
 	}
@@ -273,13 +248,9 @@ func (d *Dataset[T]) partitionNeed(p int, tm *TaskMetrics, need FieldMask) ([]T,
 	if d.blocks != nil {
 		start := time.Now()
 		codec := d.decodeCodec()
-		mask := need
-		if d.hasProj {
-			mask &= d.proj
-		}
-		if mask != FieldsAll {
+		if need != FieldsAll {
 			if pc, ok := codec.(ProjectableSerializer[T]); ok {
-				codec = pc.Project(mask)
+				codec = pc.Project(need)
 			}
 		}
 		items, err := unmarshalCharged(codec, d.blocks[p], tm)
@@ -327,11 +298,11 @@ func storePartition[T any](res *Dataset[T], p int, out []T, tm *TaskMetrics) err
 // project — blocks carry only the demanded columns — and records the
 // narrowing in content either way (with a non-projectable chain the source
 // decodes may still have pruned the items themselves). blockCodec records
-// the serializer that will actually encode (effectiveSerializer, not codec):
-// under the DisableColumnar ablation the stored bytes are gob, and the
-// decode side must agree with the encode side.
+// the serializer that will actually encode (effectiveSerializer, not codec:
+// with no codec attached the stored bytes are gob), so the decode side
+// agrees with the encode side.
 func allocResult[T any](d *Dataset[T], n int, need FieldMask) {
-	enc := effectiveSerializer(d.ctx, d.codec)
+	enc := effectiveSerializer(d.codec)
 	if need != FieldsAll {
 		d.hasContent, d.content = true, need
 		if pc, ok := enc.(ProjectableSerializer[T]); ok {

@@ -178,29 +178,6 @@ func TestShuffleAccounting(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	ctx := NewContext(2)
-	a := Parallelize(ctx, []int{1, 2}, 2)
-	b := Parallelize(ctx, []int{3}, 1)
-	u, err := Union("u", a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.NumPartitions() != 3 {
-		t.Fatalf("partitions = %d", u.NumPartitions())
-	}
-	all, err := Collect("c", u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 || all[2] != 3 {
-		t.Fatalf("union = %v", all)
-	}
-	if _, err := Union[int]("empty"); err == nil {
-		t.Fatal("union of nothing must error")
-	}
-}
-
 func TestSortPartitions(t *testing.T) {
 	ctx := NewContext(2)
 	d := Parallelize(ctx, []int{5, 3, 1, 4, 2, 0}, 2)

@@ -76,38 +76,6 @@ func init() {
 		return []byte(fmt.Sprint(items)), nil
 	})
 
-	// conf-union: Union installs a slot-based ownership override — collects
-	// and downstream shuffles must route through it, not the canonical p%W.
-	RegisterJob("conf-union", func(ctx *engine.Context, spec []byte) ([]byte, error) {
-		n, inParts, outParts, err := parseTestSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		a := engine.Parallelize(ctx, seqInts(n), inParts)
-		bItems := make([]int, n/2)
-		for i := range bItems {
-			bItems[i] = -i
-		}
-		b := engine.Parallelize(ctx, bItems, inParts+1)
-		u, err := engine.Union("c/union", a, b)
-		if err != nil {
-			return nil, err
-		}
-		total, err := engine.Count("c/count", u)
-		if err != nil {
-			return nil, err
-		}
-		shuf, err := engine.PartitionBy("c/pb", u, outParts, func(x int) int { return x * 13 })
-		if err != nil {
-			return nil, err
-		}
-		items, err := engine.Collect("c/collect", shuf)
-		if err != nil {
-			return nil, err
-		}
-		return []byte(fmt.Sprintf("%d|%v", total, items)), nil
-	})
-
 	// conf-combine: map-side combine, the census (CountByKey) and a Reduce —
 	// the action gathers whose driver-side folds must stay in lockstep.
 	RegisterJob("conf-combine", func(ctx *engine.Context, spec []byte) ([]byte, error) {
@@ -152,28 +120,34 @@ func init() {
 
 	// conf-projection: the projection planner over the real columnar codec.
 	// Declared effects let the planner shrink the shuffle wire to partial
-	// colfmt blocks (coord+flag columns); the same dataflow runs again under
-	// DisableProjectionPlanner and must produce identical records — on every
-	// backend, including pruned blocks over the mproc TCP transport.
+	// colfmt blocks (coord+flag columns); the same dataflow runs again with
+	// no declared effects (every edge FieldsAll) and must produce identical
+	// records — on every backend, including pruned blocks over the mproc TCP
+	// transport.
 	RegisterJob("conf-projection", func(ctx *engine.Context, spec []byte) ([]byte, error) {
 		n, inParts, outParts, err := parseTestSpec(spec)
 		if err != nil {
 			return nil, err
 		}
-		run := func(disable bool) ([]byte, error) {
-			ctx.DisableProjectionPlanner = disable
+		run := func(declare bool) ([]byte, error) {
+			fx := func(opt engine.StageOption) []engine.StageOption {
+				if declare {
+					return []engine.StageOption{opt}
+				}
+				return nil
+			}
 			ctx.StoreSerialized = true
 			d := engine.WithCodec(engine.Parallelize(ctx, confRecords(n), inParts),
 				engine.Serializer[sam.Record](colfmt.Codec{}))
 			census, err := engine.CountByKey("cp/census", d,
 				func(r sam.Record) int { return int(r.RefID) },
-				engine.ReadsOnly(colfmt.FieldCoord))
+				fx(engine.ReadsOnly(colfmt.FieldCoord))...)
 			if err != nil {
 				return nil, err
 			}
 			sh, err := engine.PartitionBy("cp/pb", d, outParts,
 				func(r sam.Record) int { return int(r.Pos) },
-				engine.ReadsOnly(colfmt.FieldCoord))
+				fx(engine.ReadsOnly(colfmt.FieldCoord))...)
 			if err != nil {
 				return nil, err
 			}
@@ -181,7 +155,7 @@ func init() {
 				func(r sam.Record) sam.Record {
 					return sam.Record{RefID: r.RefID, Pos: r.Pos, Flag: r.Flag}
 				},
-				engine.Rebuilds(colfmt.FieldCoord|colfmt.FieldFlag))
+				fx(engine.Rebuilds(colfmt.FieldCoord|colfmt.FieldFlag))...)
 			if err != nil {
 				return nil, err
 			}
@@ -203,17 +177,16 @@ func init() {
 			}
 			return buf.Bytes(), nil
 		}
-		on, err := run(false)
+		on, err := run(true)
 		if err != nil {
 			return nil, err
 		}
-		off, err := run(true)
+		off, err := run(false)
 		if err != nil {
 			return nil, err
 		}
-		ctx.DisableProjectionPlanner = false
 		if !bytes.Equal(on, off) {
-			return nil, fmt.Errorf("conf-projection: planner output differs from ablation")
+			return nil, fmt.Errorf("conf-projection: planner output differs from the undeclared plan")
 		}
 		return append(on, off...), nil
 	})
@@ -255,7 +228,6 @@ var conformanceJobs = []struct {
 }{
 	{"conf-shuffle", []byte("3000,5,4")},
 	{"conf-broadcast", []byte("1000,4,3")},
-	{"conf-union", []byte("800,3,4")},
 	{"conf-combine", []byte("2000,6,5")},
 	{"conf-projection", []byte("1500,4,3")},
 }

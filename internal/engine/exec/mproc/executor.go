@@ -60,27 +60,21 @@ func (fx failedExchange) Close()                   {}
 // directly, the workers' via gather frames) and rebroadcasts it, and every
 // rank returns the identical complete slice — which is what keeps the ranks'
 // subsequent driver-side folds in lockstep.
-func (e *Exec) Gather(seq uint64, n int, ownerOf func(int) int, owned [][]byte) ([][]byte, error) {
+func (e *Exec) Gather(seq uint64, n int, owned [][]byte) ([][]byte, error) {
 	t := e.t
 	if t.procs == 1 || n == 0 {
 		return owned, nil
 	}
-	owner := func(p int) int {
-		if ownerOf != nil {
-			return ownerOf(p)
-		}
-		return p % t.procs
-	}
 	gs := t.gatherFor(seq, n)
 	if t.rank == 0 {
 		for p := 0; p < n; p++ {
-			if owner(p) == 0 {
+			if p%t.procs == 0 {
 				t.gatherStore(gs, p, owned[p])
 			}
 		}
 	} else {
 		for p := 0; p < n; p++ {
-			if owner(p) == t.rank {
+			if p%t.procs == t.rank {
 				t.sendTo(0, frameGather, encodeGather(gatherMsg{seq: seq, n: n, p: p, blob: owned[p]}))
 			}
 		}

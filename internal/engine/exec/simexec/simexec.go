@@ -55,7 +55,7 @@ func (e *Exec) Exchange(_ uint64, in, out int) engine.Exchange {
 }
 
 // Gather is the identity: one process owns every partition.
-func (e *Exec) Gather(_ uint64, _ int, _ func(int) int, owned [][]byte) ([][]byte, error) {
+func (e *Exec) Gather(_ uint64, _ int, owned [][]byte) ([][]byte, error) {
 	return owned, nil
 }
 

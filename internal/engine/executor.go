@@ -41,10 +41,9 @@ type Executor interface {
 	// (identical across ranks for the same stage).
 	Exchange(seq uint64, in, out int) Exchange
 	// Gather allgathers per-partition action blobs: each rank fills owned[p]
-	// for the partitions it owns (per ownerOf; nil means canonical p%Procs)
-	// and receives the complete n-slot slice back. With Procs()==1 it returns
-	// owned unchanged.
-	Gather(seq uint64, n int, ownerOf func(int) int, owned [][]byte) ([][]byte, error)
+	// for the partitions it owns (canonical p%Procs) and receives the
+	// complete n-slot slice back. With Procs()==1 it returns owned unchanged.
+	Gather(seq uint64, n int, owned [][]byte) ([][]byte, error)
 	// Failed returns a channel closed when the job has failed globally (a
 	// remote rank errored or a worker connection was lost); nil when the
 	// backend cannot fail remotely. Err reports the failure cause.
@@ -88,7 +87,7 @@ func (e *localExec) Exchange(_ uint64, in, out int) Exchange {
 	return NewLocalExchange(in, out)
 }
 
-func (e *localExec) Gather(_ uint64, _ int, _ func(int) int, owned [][]byte) ([][]byte, error) {
+func (e *localExec) Gather(_ uint64, _ int, owned [][]byte) ([][]byte, error) {
 	return owned, nil
 }
 

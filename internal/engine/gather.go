@@ -31,7 +31,7 @@ func allgatherParts[T any](d *Dataset[T], parts [][]T) error {
 		}
 		owned[p] = b
 	}
-	blobs, err := ctx.exec.Gather(ctx.nextSeq(), len(parts), d.ownerOf, owned)
+	blobs, err := ctx.exec.Gather(ctx.nextSeq(), len(parts), owned)
 	if err != nil {
 		return err
 	}
@@ -48,12 +48,11 @@ func allgatherParts[T any](d *Dataset[T], parts [][]T) error {
 	return nil
 }
 
-// allgatherBlobs replicates pre-encoded per-partition blobs (countByKeySerial
-// ships gob maps; Count ships uvarint counts). ownerOf follows the source
-// dataset's partition ownership. No-op with one process.
-func (c *Context) allgatherBlobs(n int, ownerOf func(int) int, owned [][]byte) ([][]byte, error) {
+// allgatherBlobs replicates pre-encoded per-partition blobs (Count ships
+// uvarint counts). No-op with one process.
+func (c *Context) allgatherBlobs(n int, owned [][]byte) ([][]byte, error) {
 	if c.procs() == 1 {
 		return owned, nil
 	}
-	return c.exec.Gather(c.nextSeq(), n, ownerOf, owned)
+	return c.exec.Gather(c.nextSeq(), n, owned)
 }

@@ -10,7 +10,7 @@ import (
 // of narrow operations recorded since the last materialized ancestor. Narrow
 // ops (Map/Filter/FlatMap/MapPartitions/ZipPartitions) do not execute when
 // called — they append themselves to the lineage, and compute is the fully
-// composed partition closure. A barrier (action, shuffle, union, sort) forces
+// composed partition closure. A barrier (action, shuffle, sort) forces
 // the plan through a planning session (planner.go): the backward demand pass
 // resolves the field mask every edge must supply, then one task launch per
 // partition runs the whole chain, items flow through the composed closures
@@ -118,7 +118,6 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fx fi
 	res := &Dataset[U]{
 		ctx:   d.ctx,
 		codec: codec,
-		owner: d.owner, // narrow: output p derives from input p, same rank
 		plan: &lineage[U]{
 			nparts:   d.NumPartitions(),
 			ops:      chainOps(d.lineageOps(), name),
@@ -163,7 +162,6 @@ func lazyZip2[A, B, U any](name string, a *Dataset[A], b *Dataset[B], codec Seri
 	res := &Dataset[U]{
 		ctx:   a.ctx,
 		codec: codec,
-		owner: a.owner, // zips require co-partitioned (hence co-owned) inputs
 		plan: &lineage[U]{
 			nparts:   a.NumPartitions(),
 			ops:      chainOps(append(append([]string(nil), a.lineageOps()...), b.lineageOps()...), name),
@@ -205,7 +203,6 @@ func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Data
 	res := &Dataset[U]{
 		ctx:   a.ctx,
 		codec: codec,
-		owner: a.owner,
 		plan: &lineage[U]{
 			nparts:   a.NumPartitions(),
 			ops:      chainOps(ops, name),
@@ -276,9 +273,6 @@ func (d *Dataset[T]) Retain() { d.meta.claim() }
 // serving zeroes.
 func runFused[T any](d *Dataset[T], need FieldMask) error {
 	pl := d.plan
-	if d.ctx.DisableProjectionPlanner {
-		need = FieldsAll
-	}
 	n := pl.nparts
 	allocResult(d, n, need)
 	stage := StageMetrics{Name: pl.fusedName(), Kind: StageNarrow, FusedOps: len(pl.ops), OutMask: need}
@@ -288,7 +282,7 @@ func runFused[T any](d *Dataset[T], need FieldMask) error {
 	var tms []TaskMetrics
 	gc, err := gcPauseDelta(func() error {
 		var err error
-		tms, err = d.ctx.runTasksOwned(n, pl.sizeHint, d.ownerOf, func(p int, tm *TaskMetrics) error {
+		tms, err = d.ctx.runTasksOwned(n, pl.sizeHint, func(p int, tm *TaskMetrics) error {
 			start := time.Now()
 			out, err := pl.compute(p, tm, need)
 			if err != nil {

@@ -111,16 +111,18 @@ func TestFusionNoIntermediateCodecRoundTrips(t *testing.T) {
 		t.Fatalf("unmarshal calls = %d, want 4 (one per partition)", got)
 	}
 
-	// The unfused baseline pays a round-trip per op.
+	// The unfused baseline (Force after every op) pays a round-trip per op.
 	eager := NewContext(2)
 	eager.StoreSerialized = true
-	eager.DisableFusion = true
 	ecodec := newCountingCodec[int]()
 	ed := WithCodec(Parallelize(eager, intRange(200), 4), ecodec)
 	for i := 0; i < 3; i++ {
 		var err error
 		ed, err = Map(fmt.Sprintf("m%d", i), ed, Serializer[int](ecodec), func(x int) int { return x + 1 })
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ed.Force(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +146,8 @@ type chainSpec struct {
 
 // applyChain builds the op chain over d in ctx and returns the collected
 // result. Op kinds cycle map/filter/flatMap with parameters from the spec.
-func applyChain(ctx *Context, spec chainSpec, serialized bool) ([]int, error) {
+// With eager set, every op is forced as its own stage — the unfused oracle.
+func applyChain(ctx *Context, spec chainSpec, serialized, eager bool) ([]int, error) {
 	in := make([]int, len(spec.items))
 	for i, v := range spec.items {
 		in[i] = int(v)
@@ -177,13 +180,18 @@ func applyChain(ctx *Context, spec chainSpec, serialized bool) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
+		if eager {
+			if err := cur.Force(); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return Collect("collect", cur)
 }
 
-// Property: fused execution is item-for-item equivalent to the eager path
-// for random chains of map/filter/flatMap, with and without serialized
-// storage.
+// Property: fused execution is item-for-item equivalent to the eager
+// Force-per-op oracle for random chains of map/filter/flatMap, with and
+// without serialized storage.
 func TestFusionEquivalenceProperty(t *testing.T) {
 	for _, serialized := range []bool{false, true} {
 		name := "materialized"
@@ -200,12 +208,11 @@ func TestFusionEquivalenceProperty(t *testing.T) {
 				fusedCtx.StoreSerialized = serialized
 				eagerCtx := NewContext(2)
 				eagerCtx.StoreSerialized = serialized
-				eagerCtx.DisableFusion = true
-				fused, err := applyChain(fusedCtx, spec, serialized)
+				fused, err := applyChain(fusedCtx, spec, serialized, false)
 				if err != nil {
 					return false
 				}
-				eager, err := applyChain(eagerCtx, spec, serialized)
+				eager, err := applyChain(eagerCtx, spec, serialized, true)
 				if err != nil {
 					return false
 				}
@@ -430,15 +437,21 @@ func TestRepartitionDeterministic(t *testing.T) {
 }
 
 // BenchmarkAblationFusion compares a fused chain of three narrow ops against
-// the eager per-op baseline, under serialized storage — the engine-level
-// ablation of the paper's narrow-stage fusion claim (§4.3). Fused runs
-// should show fewer allocations (no intermediate partitions) and no
-// intermediate codec round-trips.
+// the eager baseline that forces every op as its own stage, under serialized
+// storage — the engine-level ablation of the paper's narrow-stage fusion
+// claim (§4.3). Fused runs should show fewer allocations (no intermediate
+// partitions) and no intermediate codec round-trips.
 func BenchmarkAblationFusion(b *testing.B) {
-	run := func(b *testing.B, disableFusion bool) {
+	run := func(b *testing.B, eager bool) {
 		ctx := NewContext(4)
 		ctx.StoreSerialized = true
-		ctx.DisableFusion = disableFusion
+		force := func(d *Dataset[int]) {
+			if eager {
+				if err := d.Force(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 		base := WithCodec(Parallelize(ctx, intRange(100000), 16), gobSerializer[int]{})
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -447,14 +460,17 @@ func BenchmarkAblationFusion(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			force(m)
 			f, err := Filter("f", m, func(x int) bool { return x%3 != 0 })
 			if err != nil {
 				b.Fatal(err)
 			}
+			force(f)
 			fm, err := FlatMap("fm", f, gobSerializer[int]{}, func(x int) []int { return []int{x} })
 			if err != nil {
 				b.Fatal(err)
 			}
+			force(fm)
 			n, err := Count("count", fm)
 			if err != nil {
 				b.Fatal(err)

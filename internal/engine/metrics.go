@@ -38,16 +38,15 @@ type TaskMetrics struct {
 	InputItems        int
 	OutputItems       int
 	// FetchWait is reduce-side time blocked waiting for a map bucket that no
-	// map task has published yet (pipelined shuffle only; the barrier shuffle
-	// by construction never waits inside a reduce task).
+	// map task has published yet.
 	FetchWait time.Duration
 	// DecodedBytes counts serialized bytes this task actually decoded —
 	// block headers plus the columns its projection mask selected (whole
 	// blocks for non-columnar codecs).
 	DecodedBytes int64
 	// PrunedBytes counts serialized bytes skipped via projection pushdown:
-	// columns a ReadingFields mask excluded, left untouched by the columnar
-	// decoder. Always zero for non-projectable codecs.
+	// columns the resolved demand mask excluded, left untouched by the
+	// columnar decoder. Always zero for non-projectable codecs.
 	PrunedBytes int64
 	// Ran marks a task this process actually executed. Under a multi-process
 	// executor each rank records zero-valued placeholders for the tasks its

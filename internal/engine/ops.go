@@ -10,10 +10,10 @@ import (
 // partition independently. fn receives the partition index and its items.
 //
 // Narrow operations are LAZY: the call records a lineage node and returns
-// immediately; a downstream barrier (action, shuffle, union, sort) forces the
+// immediately; a downstream barrier (action, shuffle, sort) forces the
 // maximal pending chain as one fused stage (see lineage.go). Errors from fn
-// therefore surface at the barrier, wrapped with this stage's name. Setting
-// Context.DisableFusion restores eager one-stage-per-op execution.
+// therefore surface at the barrier, wrapped with this stage's name. Calling
+// Force on the result runs the op as its own stage.
 //
 // opts declare the op's field effects for the projection planner
 // (WithEffects/ReadsOnly/Rebuilds); with none the op conservatively reads
@@ -21,31 +21,26 @@ import (
 // are the same type — a type-changing op always rebuilds its records.
 func MapPartitions[T, U any](name string, d *Dataset[T], codec Serializer[U], fn func(p int, items []T) ([]U, error), opts ...StageOption) (*Dataset[U], error) {
 	fx := resolveFX(sameRecordType[T, U](), opts)
-	if d.ctx.DisableFusion {
-		return runNarrow(name, d, codec, fx, fn)
-	}
 	return lazyNarrow(name, d, codec, fx, fn), nil
 }
 
-// runNarrow is the eager narrow stage executor: one task launch per
-// partition, storing every output partition. Barriers that are themselves
-// narrow stages (SortPartitions) and fusion-disabled contexts run through it.
-// The output is stored with full field content (an eager stage cannot know
-// its consumers' demands), but the input is still read under the op's
-// declared effects — fx.inNeed(FieldsAll) — so a Rebuilds-style op prunes
-// its source decode even without fusion.
+// runNarrow is the eager narrow stage executor behind SortPartitions, the
+// one narrow op that is itself a barrier: one task launch per partition,
+// storing every output partition. The output is stored with full field
+// content (an eager stage cannot know its consumers' demands), but the input
+// is still read under the op's declared effects — fx.inNeed(FieldsAll) — so
+// a Rebuilds-style op prunes its source decode.
 func runNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fx fieldFX, fn func(p int, items []T) ([]U, error)) (*Dataset[U], error) {
 	if err := d.Force(); err != nil {
 		return nil, err
 	}
 	inNeed := fx.inNeed(FieldsAll)
 	res := newResult(d.ctx, codec, d.NumPartitions())
-	res.owner = d.owner // narrow: output p derives from input p, same rank
 	stage := StageMetrics{Name: name, Kind: StageNarrow, InMask: inNeed, OutMask: FieldsAll}
 	var tms []TaskMetrics
 	gc, err := gcPauseDelta(func() error {
 		var err error
-		tms, err = d.ctx.runTasksOwned(d.NumPartitions(), d.partitionSizeHint, d.ownerOf, func(p int, tm *TaskMetrics) error {
+		tms, err = d.ctx.runTasksOwned(d.NumPartitions(), d.partitionSizeHint, func(p int, tm *TaskMetrics) error {
 			start := time.Now()
 			in, err := d.partitionNeed(p, tm, inNeed)
 			if err != nil {
@@ -122,21 +117,7 @@ func ZipPartitions2[A, B, U any](name string, a *Dataset[A], b *Dataset[B], code
 		return nil, fmt.Errorf("engine: stage %q: partition counts differ: %d vs %d", name, a.NumPartitions(), b.NumPartitions())
 	}
 	fx := resolveFX(true, opts) // per-input spaces are checked edge-by-edge
-	if !a.ctx.DisableFusion {
-		return lazyZip2(name, a, b, codec, fx, fn), nil
-	}
-	if err := b.Force(); err != nil {
-		return nil, err
-	}
-	fxB := zipFX(fx, sameRecordType[B, U]())
-	res, err := runNarrow(name, a, codec, zipFX(fx, sameRecordType[A, U]()), func(p int, as []A) ([]U, error) {
-		bs, err := b.partitionNeed(p, nil, fxB.inNeed(FieldsAll))
-		if err != nil {
-			return nil, err
-		}
-		return fn(p, as, bs)
-	})
-	return res, err
+	return lazyZip2(name, a, b, codec, fx, fn), nil
 }
 
 // ZipPartitions3 applies fn to aligned partitions of three co-partitioned
@@ -146,29 +127,7 @@ func ZipPartitions3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c
 	if a.NumPartitions() != b.NumPartitions() || a.NumPartitions() != c.NumPartitions() {
 		return nil, fmt.Errorf("engine: stage %q: partition counts differ: %d/%d/%d", name, a.NumPartitions(), b.NumPartitions(), c.NumPartitions())
 	}
-	fx := resolveFX(true, opts)
-	if !a.ctx.DisableFusion {
-		return lazyZip3(name, a, b, c, codec, fx, fn), nil
-	}
-	if err := b.Force(); err != nil {
-		return nil, err
-	}
-	if err := c.Force(); err != nil {
-		return nil, err
-	}
-	fxB := zipFX(fx, sameRecordType[B, U]())
-	fxC := zipFX(fx, sameRecordType[C, U]())
-	return runNarrow(name, a, codec, zipFX(fx, sameRecordType[A, U]()), func(p int, as []A) ([]U, error) {
-		bs, err := b.partitionNeed(p, nil, fxB.inNeed(FieldsAll))
-		if err != nil {
-			return nil, err
-		}
-		cs, err := c.partitionNeed(p, nil, fxC.inNeed(FieldsAll))
-		if err != nil {
-			return nil, err
-		}
-		return fn(p, as, bs, cs)
-	})
+	return lazyZip3(name, a, b, c, codec, resolveFX(true, opts), fn), nil
 }
 
 // Collect gathers all partitions to the driver in partition order. Collect is
@@ -183,7 +142,7 @@ func Collect[T any](name string, d *Dataset[T]) ([]T, error) {
 	var tms []TaskMetrics
 	gc, err := gcPauseDelta(func() error {
 		var err error
-		tms, err = d.ctx.runTasksOwned(d.NumPartitions(), d.partitionSizeHint, d.ownerOf, func(p int, tm *TaskMetrics) error {
+		tms, err = d.ctx.runTasksOwned(d.NumPartitions(), d.partitionSizeHint, func(p int, tm *TaskMetrics) error {
 			start := time.Now()
 			items, err := d.partition(p, tm)
 			if err != nil {
@@ -239,7 +198,7 @@ func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error)
 	var tms []TaskMetrics
 	gc, err := gcPauseDelta(func() error {
 		var err error
-		tms, err = d.ctx.runTasksOwned(d.NumPartitions(), d.partitionSizeHint, d.ownerOf, func(p int, tm *TaskMetrics) error {
+		tms, err = d.ctx.runTasksOwned(d.NumPartitions(), d.partitionSizeHint, func(p int, tm *TaskMetrics) error {
 			start := time.Now()
 			items, err := d.partition(p, tm)
 			if err != nil {
@@ -306,24 +265,23 @@ func Reduce[T any](name string, d *Dataset[T], fn func(T, T) T) (T, bool, error)
 }
 
 // Count returns the total number of items. Count is an action: it forces any
-// pending narrow chain first. It reads through a zero-field projection view:
-// a columnar-stored dataset decodes only block headers (the record count is
-// in the header), pruning every column. The force itself still demands every
+// pending narrow chain first. Its tasks read with a zero-field demand: a
+// columnar-stored dataset decodes only block headers (the record count is in
+// the header), pruning every column. The force itself still demands every
 // field — forcing with a zero demand would materialize empty records for
 // every later reader.
 func Count[T any](name string, d *Dataset[T]) (int, error) {
 	if err := d.Force(); err != nil {
 		return 0, err
 	}
-	src := ReadingFields(d, 0)
-	counts := make([]int, src.NumPartitions())
+	counts := make([]int, d.NumPartitions())
 	stage := StageMetrics{Name: name, Kind: StageAction}
 	var tms []TaskMetrics
 	gc, err := gcPauseDelta(func() error {
 		var err error
-		tms, err = d.ctx.runTasksOwned(src.NumPartitions(), src.partitionSizeHint, src.ownerOf, func(p int, tm *TaskMetrics) error {
+		tms, err = d.ctx.runTasksOwned(d.NumPartitions(), d.partitionSizeHint, func(p int, tm *TaskMetrics) error {
 			start := time.Now()
-			items, err := src.partitionNeed(p, tm, 0)
+			items, err := d.partitionNeed(p, tm, 0)
 			if err != nil {
 				return err
 			}
@@ -340,17 +298,17 @@ func Count[T any](name string, d *Dataset[T]) (int, error) {
 		rank := d.ctx.rank()
 		owned := make([][]byte, len(counts))
 		for p := range counts {
-			if src.ownerOf(p) != rank {
+			if d.ownerOf(p) != rank {
 				continue
 			}
 			var tmp [binary.MaxVarintLen64]byte
 			owned[p] = append([]byte(nil), tmp[:binary.PutUvarint(tmp[:], uint64(counts[p]))]...)
 		}
 		var blobs [][]byte
-		blobs, err = d.ctx.allgatherBlobs(len(counts), src.ownerOf, owned)
+		blobs, err = d.ctx.allgatherBlobs(len(counts), owned)
 		if err == nil {
 			for p := range counts {
-				if src.ownerOf(p) == rank {
+				if d.ownerOf(p) == rank {
 					continue
 				}
 				v, read := binary.Uvarint(blobs[p])

@@ -70,17 +70,19 @@ func (c failingCodec) Unmarshal(data []byte) ([]int, error) {
 	return gobSerializer[int]{}.Unmarshal(data)
 }
 
-// shuffledPartitions runs PartitionBy on items under the given flags and
+// shuffleKey is the routing key of the shuffle determinism tests.
+func shuffleKey(x int) int { return x * 7 }
+
+// shuffledPartitions runs PartitionBy on items with the given geometry and
 // returns every output partition's contents.
-func shuffledPartitions(t *testing.T, items []int, inParts, outParts, workers int, barrier bool, codec Serializer[int]) [][]int {
+func shuffledPartitions(t *testing.T, items []int, inParts, outParts, workers int, codec Serializer[int]) [][]int {
 	t.Helper()
 	ctx := NewContext(workers)
-	ctx.DisablePipelinedShuffle = barrier
 	d := Parallelize(ctx, items, inParts)
 	if codec != nil {
 		d = WithCodec(d, codec)
 	}
-	out, err := PartitionBy("shuffle", d, outParts, func(x int) int { return x * 7 })
+	out, err := PartitionBy("shuffle", d, outParts, shuffleKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +101,8 @@ func shuffledPartitions(t *testing.T, items []int, inParts, outParts, workers in
 }
 
 // TestPipelinedMatchesBarrierProperty is the core determinism property: for
-// random inputs and partitionings, the pipelined shuffle's output partitions
-// are identical to the barrier shuffle's.
+// random inputs, partitionings and worker counts, the pipelined shuffle's
+// output partitions are identical to the plain-Go two-barrier oracle's.
 func TestPipelinedMatchesBarrierProperty(t *testing.T) {
 	f := func(raw []int16, inP, outP, w uint8) bool {
 		items := make([]int, len(raw))
@@ -110,8 +112,8 @@ func TestPipelinedMatchesBarrierProperty(t *testing.T) {
 		inParts := 1 + int(inP)%6
 		outParts := 1 + int(outP)%6
 		workers := 1 + int(w)%8
-		pipelined := shuffledPartitions(t, items, inParts, outParts, workers, false, nil)
-		barrier := shuffledPartitions(t, items, inParts, outParts, workers, true, nil)
+		pipelined := shuffledPartitions(t, items, inParts, outParts, workers, nil)
+		barrier := barrierShuffle(Parallelize(NewContext(1), items, inParts).parts, outParts, shuffleKey)
 		return reflect.DeepEqual(pipelined, barrier)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -124,9 +126,9 @@ func TestPipelinedMatchesBarrierProperty(t *testing.T) {
 // the merged output must not change.
 func TestPipelinedDeterministicUnderRandomCompletion(t *testing.T) {
 	items := intRange(500)
-	want := shuffledPartitions(t, items, 6, 4, 4, true, nil)
+	want := barrierShuffle(Parallelize(NewContext(1), items, 6).parts, 4, shuffleKey)
 	for trial := 0; trial < 5; trial++ {
-		got := shuffledPartitions(t, items, 6, 4, 4, false, jitterCodec{})
+		got := shuffledPartitions(t, items, 6, 4, 4, jitterCodec{})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: pipelined output differs from barrier reference", trial)
 		}
@@ -182,53 +184,42 @@ func TestPipelinedPanicRecovered(t *testing.T) {
 
 // TestPipelinedFetchWaitAndOverlap sets up more workers than map tasks so
 // reduce tasks start while maps are still serializing: FetchWait and
-// PipelineOverlap must be recorded, and only on the pipelined run.
+// PipelineOverlap must be recorded.
 func TestPipelinedFetchWaitAndOverlap(t *testing.T) {
-	run := func(barrier bool) Metrics {
-		ctx := NewContext(8)
-		ctx.DisablePipelinedShuffle = barrier
-		d := WithCodec(Parallelize(ctx, intRange(400), 2), slowCodec{delay: 10 * time.Millisecond})
-		out, err := PartitionBy("pipe", d, 4, func(x int) int { return x })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := out.Force(); err != nil {
-			t.Fatal(err)
-		}
-		return ctx.Metrics()
+	ctx := NewContext(8)
+	d := WithCodec(Parallelize(ctx, intRange(400), 2), slowCodec{delay: 10 * time.Millisecond})
+	out, err := PartitionBy("pipe", d, 4, func(x int) int { return x })
+	if err != nil {
+		t.Fatal(err)
 	}
-	pm := run(false)
+	if err := out.Force(); err != nil {
+		t.Fatal(err)
+	}
+	pm := ctx.Metrics()
 	if pm.TotalFetchWait() == 0 {
 		t.Fatal("pipelined run recorded no fetch wait despite blocked reduces")
 	}
 	if pm.TotalPipelineOverlap() == 0 {
 		t.Fatal("pipelined run recorded no map/reduce overlap")
 	}
-	bm := run(true)
-	if bm.TotalFetchWait() != 0 || bm.TotalPipelineOverlap() != 0 {
-		t.Fatalf("barrier run must not record pipeline metrics: wait=%v overlap=%v",
-			bm.TotalFetchWait(), bm.TotalPipelineOverlap())
+	// The shuffle records exactly two stage rows (map, reduce).
+	shuffles := 0
+	for _, s := range pm.Stages {
+		if s.Kind == StageShuffle {
+			shuffles++
+		}
 	}
-	// Both runs still record exactly two shuffle stage rows.
-	for _, m := range []Metrics{pm, bm} {
-		shuffles := 0
-		for _, s := range m.Stages {
-			if s.Kind == StageShuffle {
-				shuffles++
-			}
-		}
-		if shuffles != 2 {
-			t.Fatalf("shuffle stage rows = %d, want 2", shuffles)
-		}
+	if shuffles != 2 {
+		t.Fatalf("shuffle stage rows = %d, want 2", shuffles)
 	}
 }
 
-// TestBarrierFallbackMatchesAccounting: the ablation flag must keep the
-// write==read byte invariant on both strategies.
+// TestBarrierFallbackMatchesAccounting: the write==read byte invariant holds
+// with one worker, where the pipelined pass degrades to the two-barrier
+// schedule (every map runs before any reduce), and with two.
 func TestBarrierFallbackMatchesAccounting(t *testing.T) {
-	for _, barrier := range []bool{false, true} {
-		ctx := NewContext(2)
-		ctx.DisablePipelinedShuffle = barrier
+	for _, workers := range []int{1, 2} {
+		ctx := NewContext(workers)
 		d := Parallelize(ctx, intRange(1000), 4)
 		out, err := PartitionBy("shuffle", d, 8, func(x int) int { return x })
 		if err != nil {
@@ -244,7 +235,7 @@ func TestBarrierFallbackMatchesAccounting(t *testing.T) {
 			rd += s.ShuffleReadBytes()
 		}
 		if wr == 0 || wr != rd {
-			t.Fatalf("barrier=%v: write %d read %d", barrier, wr, rd)
+			t.Fatalf("workers=%d: write %d read %d", workers, wr, rd)
 		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 //   - fused narrow chains thread the demand dynamically: each composed
 //     closure reads its input through partitionNeed with fx.inNeed(need),
 //     so source blocks decode through Project(mask) with no one annotating
-//     anything (the PR 6 manual Force()+ReadingFields dance, inferred);
+//     anything at the read site;
 //   - deferred wide ops (shuffle.go) receive their resolved OUTPUT demand
 //     and encode map-side buckets through Project(demand) — fewer bytes on
 //     the mproc TCP wire, not just fewer decoded;
@@ -35,9 +35,9 @@ import (
 // an SPMD executor every rank resolves identical masks from its own copy of
 // the driver program — no masks travel on the wire.
 //
-// Context.DisableProjectionPlanner is the ablation: sinks force with
-// FieldsAll, partitionNeed coerces every demand to FieldsAll, and wide ops
-// run eagerly at call time exactly as before this pass existed.
+// The planner has no off switch. Its baseline is the same plan with no
+// declared effects: every edge then resolves to FieldsAll, which is what an
+// engine without the pass would read and ship.
 
 // planMeta is the type-erased planning view of one unmaterialized dataset:
 // a lazy narrow chain (wide == false) or a deferred wide op (wide == true).
@@ -204,9 +204,6 @@ func (d *Dataset[T]) forceSink(need FieldMask) error {
 	}
 	if m.done.Load() {
 		return m.err
-	}
-	if d.ctx.DisableProjectionPlanner {
-		need = FieldsAll
 	}
 	return runPlanSession(m, need)
 }

@@ -21,8 +21,8 @@ func (explodingCodec) Unmarshal([]byte) ([]fakeRec, error) {
 }
 
 // TestPlannerInfersChainPruning: a consumer declaring Rebuilds(A) over a
-// columnar-stored source must decode only column A — the PR 6 manual
-// Force()+ReadingFields dance, now inferred by the planner's backward pass.
+// columnar-stored source must decode only column A, inferred by the
+// planner's backward pass with no annotation at the read site.
 func TestPlannerInfersChainPruning(t *testing.T) {
 	ctx := NewContext(2)
 	base := storeFake(t, ctx, fakeRecs(64), fakeColCodec{})
@@ -154,23 +154,31 @@ func TestPlannerSharedPrefixErrorPropagates(t *testing.T) {
 	}
 }
 
+// declared returns opt when declared is set and no options otherwise: the
+// same op with and without its field-effect declaration.
+func declared(on bool, opt StageOption) []StageOption {
+	if on {
+		return []StageOption{opt}
+	}
+	return nil
+}
+
 // TestPlannerShuffleWirePruning: when everything downstream of a shuffle
 // needs only column A, the planner must encode the map-side buckets through
-// Project(A) — measurably fewer shuffle bytes than the ablation, identical
-// output.
+// Project(A) — measurably fewer shuffle bytes than the same plan with no
+// declared effects, identical output.
 func TestPlannerShuffleWirePruning(t *testing.T) {
-	run := func(disable bool) ([]fakeRec, int64, Metrics) {
+	run := func(declare bool) ([]fakeRec, int64, Metrics) {
 		ctx := NewContext(4)
 		ctx.StoreSerialized = true
-		ctx.DisableProjectionPlanner = disable
 		d := WithCodec(Parallelize(ctx, fakeRecs(2000), 4), Serializer[fakeRec](fakeColCodec{}))
 		sh, err := PartitionBy("pb", d, 8,
-			func(r fakeRec) int { return int(r.A) }, ReadsOnly(fakeFieldA))
+			func(r fakeRec) int { return int(r.A) }, declared(declare, ReadsOnly(fakeFieldA))...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		proj, err := Map("proj", sh, Serializer[fakeRec](fakeColCodec{}),
-			func(r fakeRec) fakeRec { return fakeRec{A: r.A + 1} }, Rebuilds(fakeFieldA))
+			func(r fakeRec) fakeRec { return fakeRec{A: r.A + 1} }, declared(declare, Rebuilds(fakeFieldA))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,13 +193,13 @@ func TestPlannerShuffleWirePruning(t *testing.T) {
 		}
 		return out, wire, m
 	}
-	prunedOut, prunedWire, pm := run(false)
-	fullOut, fullWire, _ := run(true)
+	prunedOut, prunedWire, pm := run(true)
+	fullOut, fullWire, _ := run(false)
 	if !reflect.DeepEqual(prunedOut, fullOut) {
 		t.Fatal("planner changed the shuffle output")
 	}
 	if prunedWire >= fullWire {
-		t.Fatalf("wire pruning ineffective: planner %d bytes, ablation %d", prunedWire, fullWire)
+		t.Fatalf("wire pruning ineffective: planner %d bytes, undeclared %d", prunedWire, fullWire)
 	}
 	// The shuffle stage rows record the resolved masks.
 	found := false
@@ -208,35 +216,61 @@ func TestPlannerShuffleWirePruning(t *testing.T) {
 	}
 }
 
-// TestPlannerAblationEagerWide: DisableProjectionPlanner restores the
-// pre-planner contract — wide ops run at call time, partitions readable and
-// metrics recorded with no Force.
-func TestPlannerAblationEagerWide(t *testing.T) {
+// TestPlannerUndeclaredDemandsAllFields: the planner's baseline is the same
+// plan with no declared effects. Every edge then resolves to FieldsAll — the
+// shuffle reads and ships whole records and no decode is pruned — and the
+// deferred shuffle still runs only when a barrier forces it.
+func TestPlannerUndeclaredDemandsAllFields(t *testing.T) {
 	ctx := NewContext(2)
-	ctx.DisableProjectionPlanner = true
-	d := Parallelize(ctx, intRange(100), 4)
-	sh, err := PartitionBy("eager", d, 5, func(x int) int { return x })
+	ctx.StoreSerialized = true
+	base := storeFake(t, ctx, fakeRecs(100), fakeColCodec{})
+	ctx.ResetMetrics()
+	sh, err := PartitionBy("undeclared", base, 5, func(r fakeRec) int { return int(r.A) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, err := sh.partition(2, nil)
+	if _, err := sh.partition(2, nil); err == nil {
+		t.Fatal("deferred shuffle output readable before any barrier forced it")
+	}
+	proj, err := Map("proj", sh, Serializer[fakeRec](fakeColCodec{}),
+		func(r fakeRec) fakeRec { return fakeRec{A: r.A} })
 	if err != nil {
-		t.Fatalf("eager shuffle output not readable without Force: %v", err)
+		t.Fatal(err)
 	}
-	if len(items) != 20 {
-		t.Fatalf("partition 2 has %d items", len(items))
+	out, err := Collect("collect", proj)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ctx.Metrics().NumStages() == 0 {
-		t.Fatal("eager shuffle recorded no stages")
+	if len(out) != 100 {
+		t.Fatalf("collected %d records, want 100", len(out))
+	}
+	m := ctx.Metrics()
+	if m.TotalPrunedBytes() != 0 {
+		t.Fatalf("undeclared plan pruned %d bytes, want 0", m.TotalPrunedBytes())
+	}
+	shuffles := 0
+	for _, s := range m.Stages {
+		if s.Kind != StageShuffle {
+			continue
+		}
+		shuffles++
+		if s.InMask != FieldsAll || s.OutMask != FieldsAll {
+			t.Fatalf("shuffle stage %q masks in=%#x out=%#x, want FieldsAll", s.Name, uint64(s.InMask), uint64(s.OutMask))
+		}
+	}
+	if shuffles != 2 {
+		t.Fatalf("shuffle stage rows = %d, want 2", shuffles)
 	}
 }
 
-// plannerPropOp is one randomly generated, honestly declared operation:
+// plannerPropStep is one randomly generated, honestly declared operation:
 // the callback's reads and writes are derived from the declared masks, so
-// equivalence between planner-on and planner-off runs is exactly the
-// planner's correctness property (inferred masks never prune a field some
-// downstream op reads).
-func plannerPropStep(r *rand.Rand, name string, d *Dataset[fakeRec]) (*Dataset[fakeRec], error) {
+// equivalence between the declared plan and the same plan with every
+// declaration dropped (the FieldsAll baseline) is exactly the planner's
+// correctness property (inferred masks never prune a field some downstream
+// op reads). declare selects which of the two plans is built; the random
+// draws are the same either way.
+func plannerPropStep(r *rand.Rand, name string, d *Dataset[fakeRec], declare bool) (*Dataset[fakeRec], error) {
 	masks := []FieldMask{0, fakeFieldA, fakeFieldB, fakeFieldA | fakeFieldB}
 	reads := masks[r.Intn(len(masks))]
 	writes := masks[r.Intn(len(masks))]
@@ -263,34 +297,33 @@ func plannerPropStep(r *rand.Rand, name string, d *Dataset[fakeRec]) (*Dataset[f
 	switch r.Intn(5) {
 	case 0: // declared map
 		return Map(name, d, Serializer[fakeRec](fakeColCodec{}), apply,
-			WithEffects(FieldEffects{Reads: reads, Writes: writes}))
+			declared(declare, WithEffects(FieldEffects{Reads: reads, Writes: writes}))...)
 	case 1: // undeclared map (conservative: reads everything)
 		return Map(name, d, Serializer[fakeRec](fakeColCodec{}), apply)
 	case 2: // declared filter on the read fields
-		return Filter(name, d, func(rec fakeRec) bool { return val(rec)%3 != 0 }, ReadsOnly(reads))
+		return Filter(name, d, func(rec fakeRec) bool { return val(rec)%3 != 0 }, declared(declare, ReadsOnly(reads))...)
 	case 3: // shuffle routed by the read fields
-		return PartitionBy(name, d, 1+r.Intn(5), func(rec fakeRec) int { return int(val(rec)) }, ReadsOnly(reads))
+		return PartitionBy(name, d, 1+r.Intn(5), func(rec fakeRec) int { return int(val(rec)) }, declared(declare, ReadsOnly(reads))...)
 	default: // sort barrier comparing the read fields
-		return SortPartitions(name, d, func(a, b fakeRec) bool { return val(a) < val(b) }, ReadsOnly(reads))
+		return SortPartitions(name, d, func(a, b fakeRec) bool { return val(a) < val(b) }, declared(declare, ReadsOnly(reads))...)
 	}
 }
 
 // TestPlannerRandomizedPlans is the planner equivalence property: random
-// chains of honestly-declared ops produce identical results with the planner
-// on and off (and identical again on a re-run with the same seed).
+// chains of honestly-declared ops produce identical results with and without
+// their declarations (and identical again on a re-run with the same seed).
 func TestPlannerRandomizedPlans(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
-		build := func(disable bool) []fakeRec {
+		build := func(declare bool) []fakeRec {
 			r := rand.New(rand.NewSource(int64(7000 + trial)))
 			ctx := NewContext(1 + r.Intn(4))
 			ctx.StoreSerialized = true
-			ctx.DisableProjectionPlanner = disable
 			d := WithCodec(Parallelize(ctx, fakeRecs(60+r.Intn(200)), 1+r.Intn(5)),
 				Serializer[fakeRec](fakeColCodec{}))
 			steps := 2 + r.Intn(6)
 			for i := 0; i < steps; i++ {
 				var err error
-				d, err = plannerPropStep(r, fmt.Sprintf("t%d/op%d", trial, i), d)
+				d, err = plannerPropStep(r, fmt.Sprintf("t%d/op%d", trial, i), d, declare)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -301,9 +334,9 @@ func TestPlannerRandomizedPlans(t *testing.T) {
 			}
 			return out
 		}
-		on, off := build(false), build(true)
+		on, off := build(true), build(false)
 		if !reflect.DeepEqual(on, off) {
-			t.Fatalf("trial %d: planner changed the result\n on: %v\noff: %v", trial, on, off)
+			t.Fatalf("trial %d: planner changed the result\n declared: %v\nundeclared: %v", trial, on, off)
 		}
 	}
 }

@@ -28,14 +28,13 @@ var errShuffleCanceled = errors.New("engine: shuffle canceled by sibling task fa
 //     Merging strictly in map-task order is what keeps the output
 //     deterministic whatever order buckets arrived in.
 //
-// Two execution strategies share the callbacks: the default pipelined
-// push-based run (map and reduce tasks in ONE worker-pool pass; reduce task r
-// consumes bucket (m, r) as soon as map task m publishes it) and the
-// two-barrier run used when Context.DisablePipelinedShuffle is set. Both
-// record the same two StageMetrics rows (name/map, name/reduce) so stage
-// counts and byte accounting are strategy-independent. inMask/outMask are the
-// planner-resolved edge masks recorded on those rows: what map tasks read
-// from their input, and what the wire blocks carry to the reduce side.
+// The run is pipelined and push-based: map and reduce tasks share ONE
+// worker-pool pass, and reduce task r consumes bucket (m, r) as soon as map
+// task m publishes it. It records two StageMetrics rows (name/map,
+// name/reduce); inMask/outMask are the planner-resolved edge masks recorded
+// on those rows: what map tasks read from their input, and what the wire
+// blocks carry to the reduce side. Map task m and reduce task r run on the
+// ranks owning partitions m and r (canonical p % procs ownership).
 type shuffleCore[B, O any] struct {
 	ctx     *Context
 	name    string
@@ -43,29 +42,10 @@ type shuffleCore[B, O any] struct {
 	inMask  FieldMask
 	outMask FieldMask
 	mapHint func(m int) int64
-	// mapOwner maps a map-task index to the rank owning its input partition
-	// (nil = canonical m % procs). Reduce ownership is always canonical: the
-	// output dataset is freshly partitioned.
-	mapOwner func(m int) int
-	mapTask  func(m int, tm *TaskMetrics, emit func(r int, block []byte)) error
-	decode   func(r int, block []byte, tm *TaskMetrics) (B, error)
-	merge    func(r int, decoded []B, tm *TaskMetrics) ([]O, error)
-	res      *Dataset[O]
-}
-
-func (sc *shuffleCore[B, O]) run() error {
-	// With one worker there is no concurrency to pipeline into: the schedule
-	// degenerates to all-maps-then-all-reduces either way, so take the
-	// barrier path outright and skip the notification machinery (whose
-	// per-task overhead would otherwise pollute single-worker traces).
-	// Multi-process runs always take the pipelined path: the Exchange is the
-	// only transport that moves buckets between ranks, so the barrier
-	// strategy (a pure shared-memory shortcut) is ineligible whatever the
-	// ablation flags say.
-	if sc.ctx.procs() == 1 && (sc.ctx.DisablePipelinedShuffle || sc.ctx.workers == 1) {
-		return sc.runBarrier()
-	}
-	return sc.runPipelined()
+	mapTask func(m int, tm *TaskMetrics, emit func(r int, block []byte)) error
+	decode  func(r int, block []byte, tm *TaskMetrics) (B, error)
+	merge   func(r int, decoded []B, tm *TaskMetrics) ([]O, error)
+	res     *Dataset[O]
 }
 
 // finishReduce merges the decoded buckets of reduce partition r and stores
@@ -85,73 +65,7 @@ func (sc *shuffleCore[B, O]) finishReduce(r int, decoded []B, tm *TaskMetrics, s
 	return nil
 }
 
-// runBarrier is the classic two-phase shuffle: every map task finishes before
-// any reduce task starts. Kept as the ablation baseline
-// (Context.DisablePipelinedShuffle) and as the reference implementation the
-// pipelined run is property-tested against.
-func (sc *shuffleCore[B, O]) runBarrier() error {
-	buckets := make([][][]byte, sc.in) // buckets[mapTask][reducePartition]
-	stage := StageMetrics{Name: sc.name + "/map", Kind: StageShuffle, InMask: sc.inMask, OutMask: sc.outMask}
-	var tms []TaskMetrics
-	gc, err := gcPauseDelta(func() error {
-		var err error
-		tms, err = sc.ctx.runTasksLPT(sc.in, sc.mapHint, func(m int, tm *TaskMetrics) error {
-			start := time.Now()
-			enc := make([][]byte, sc.out)
-			if err := sc.mapTask(m, tm, func(r int, block []byte) { enc[r] = block }); err != nil {
-				return err
-			}
-			buckets[m] = enc
-			tm.Wall = time.Since(start)
-			return nil
-		})
-		return err
-	})
-	stage.Tasks = tms
-	stage.GCPause = gc
-	sc.ctx.recordStage(stage)
-	if err != nil {
-		return err
-	}
-
-	// Reduce dispatch is size-aware too: the hint is the exact byte volume
-	// this reduce partition will fetch.
-	redHint := func(r int) int64 {
-		var n int64
-		for m := range buckets {
-			n += int64(len(buckets[m][r]))
-		}
-		return n
-	}
-	stage = StageMetrics{Name: sc.name + "/reduce", Kind: StageShuffle, InMask: sc.outMask, OutMask: sc.outMask}
-	gc, err = gcPauseDelta(func() error {
-		var err error
-		tms, err = sc.ctx.runTasksLPT(sc.out, redHint, func(r int, tm *TaskMetrics) error {
-			start := time.Now()
-			decoded := make([]B, sc.in)
-			for m := 0; m < sc.in; m++ {
-				block := buckets[m][r]
-				if block == nil {
-					continue
-				}
-				tm.ShuffleReadBytes += int64(len(block))
-				b, err := sc.decode(r, block, tm)
-				if err != nil {
-					return err
-				}
-				decoded[m] = b
-			}
-			return sc.finishReduce(r, decoded, tm, start)
-		})
-		return err
-	})
-	stage.Tasks = tms
-	stage.GCPause = gc
-	sc.ctx.recordStage(stage)
-	return err
-}
-
-// runPipelined executes map and reduce tasks in one worker-pool pass.
+// run executes map and reduce tasks in one worker-pool pass.
 //
 // Protocol: map task m pushes m onto reduce task r's notification channel
 // the moment bucket (m, r) is encoded — per-bucket readiness, so a long map
@@ -173,27 +87,18 @@ func (sc *shuffleCore[B, O]) runBarrier() error {
 // tasks, so the pipeline cannot deadlock: slot-holders run to completion,
 // waiters are unblocked by map completions, and re-acquisition only
 // competes with other runnable work. (With W=1 reduce tasks effectively
-// start after all maps finish — the pipeline degrades to the barrier
+// start after all maps finish — the pipeline degrades to the two-barrier
 // schedule but never deadlocks.)
 //
 // Failure: the first map/reduce error (or panic) closes cancel exactly once;
 // every blocked reduce task unblocks through the cancel branch and returns.
 // The pass always joins its WaitGroup, so no goroutine outlives the call,
 // and the caller discards the result dataset on error — no partial output.
-func (sc *shuffleCore[B, O]) runPipelined() error {
+func (sc *shuffleCore[B, O]) run() error {
 	in, out := sc.in, sc.out
 	ctx := sc.ctx
 	procs, rank := ctx.procs(), ctx.rank()
-	mapOwned := func(m int) bool {
-		if procs == 1 {
-			return true
-		}
-		if sc.mapOwner != nil {
-			return sc.mapOwner(m) == rank
-		}
-		return m%procs == rank
-	}
-	redOwned := func(r int) bool { return procs == 1 || r%procs == rank }
+	owned := func(p int) bool { return procs == 1 || p%procs == rank }
 	// The exchange is the bucket transport for this stage: in-process it is
 	// the shared block table + notify channels; under mproc, publishes to a
 	// remote-owned reduce partition leave as bucket frames and arrivals from
@@ -328,7 +233,7 @@ func (sc *shuffleCore[B, O]) runPipelined() error {
 		for _, m := range lptOrder(in, sc.mapHint) {
 			m := m
 			mapTMs[m].Partition = m
-			if !mapOwned(m) {
+			if !owned(m) {
 				continue
 			}
 			if procs > 1 {
@@ -340,7 +245,7 @@ func (sc *shuffleCore[B, O]) runPipelined() error {
 		for r := 0; r < out; r++ {
 			r := r
 			redTMs[r].Partition = r
-			if !redOwned(r) {
+			if !owned(r) {
 				continue
 			}
 			if procs > 1 {
@@ -409,19 +314,10 @@ func (sc *shuffleCore[B, O]) runPipelined() error {
 // dataset; the shuffle executes when a downstream barrier forces it, so the
 // projection planner knows how many columns the consumers actually need and
 // the map side encodes only those into its buckets (fx declares what route
-// itself reads). Under Context.DisableProjectionPlanner the shuffle runs
-// eagerly at call time with full columns — the historical behavior and the
-// ablation baseline.
+// itself reads; undeclared, the buckets carry whole records).
 func shuffle[T any](name string, d *Dataset[T], numPartitions int, route func(p, idx int, item T) int, fx fieldFX) (*Dataset[T], error) {
 	if numPartitions < 1 {
 		return nil, fmt.Errorf("engine: stage %q: numPartitions must be positive", name)
-	}
-	if d.ctx.DisableProjectionPlanner {
-		res := &Dataset[T]{ctx: d.ctx, codec: d.codec}
-		if err := runShuffle(name, d, res, numPartitions, route, fx, FieldsAll); err != nil {
-			return nil, err
-		}
-		return res, nil
 	}
 	claimInput(d)
 	res := &Dataset[T]{ctx: d.ctx, codec: d.codec, pendingParts: numPartitions}
@@ -441,14 +337,11 @@ func shuffle[T any](name string, d *Dataset[T], numPartitions int, route func(p,
 // blocks carry only the demanded columns. res stores the same projected
 // blocks and remembers the narrowing in content.
 func runShuffle[T any](name string, d *Dataset[T], res *Dataset[T], numPartitions int, route func(p, idx int, item T) int, fx fieldFX, need FieldMask) error {
-	if d.ctx.DisableProjectionPlanner {
-		need = FieldsAll
-	}
 	if err := d.Force(); err != nil {
 		return err
 	}
 	mapNeed := fx.inNeed(need)
-	codec := effectiveSerializer(d.ctx, d.codec)
+	codec := effectiveSerializer(d.codec)
 	if need != FieldsAll {
 		if pc, ok := codec.(ProjectableSerializer[T]); ok {
 			codec = pc.Project(need)
@@ -457,15 +350,14 @@ func runShuffle[T any](name string, d *Dataset[T], res *Dataset[T], numPartition
 	allocResult(res, numPartitions, need)
 	in := d.NumPartitions()
 	sc := &shuffleCore[[]T, T]{
-		ctx:      d.ctx,
-		name:     name,
-		in:       in,
-		out:      numPartitions,
-		inMask:   mapNeed,
-		outMask:  need,
-		mapHint:  d.partitionSizeHint,
-		mapOwner: d.ownerOf,
-		res:      res,
+		ctx:     d.ctx,
+		name:    name,
+		in:      in,
+		out:     numPartitions,
+		inMask:  mapNeed,
+		outMask: need,
+		mapHint: d.partitionSizeHint,
+		res:     res,
 		mapTask: func(p int, tm *TaskMetrics, emit func(r int, block []byte)) error {
 			items, err := d.partitionNeed(p, tm, mapNeed)
 			if err != nil {
@@ -544,68 +436,6 @@ func PartitionBy[T any](name string, d *Dataset[T], numPartitions int, key func(
 // the wire mask untouched.
 func Repartition[T any](name string, d *Dataset[T], numPartitions int) (*Dataset[T], error) {
 	return shuffle(name, d, numPartitions, func(p, idx int, _ T) int { return p + idx }, fieldFX{declared: true})
-}
-
-// Union concatenates datasets partition-wise (a narrow operation: partitions
-// are appended, not merged). Union is a barrier: pending narrow chains and
-// deferred wide ops on every input are forced first, with full demand (the
-// union output has no effect declaration of its own).
-func Union[T any](name string, ds ...*Dataset[T]) (*Dataset[T], error) {
-	if len(ds) == 0 {
-		return nil, fmt.Errorf("engine: stage %q: union of nothing", name)
-	}
-	for _, d := range ds {
-		if err := d.Force(); err != nil {
-			return nil, err
-		}
-	}
-	ctx := ds[0].ctx
-	var total int
-	for _, d := range ds {
-		total += d.NumPartitions()
-	}
-	res := newResult(ctx, ds[0].codec, total)
-	stage := StageMetrics{Name: name, Kind: StageNarrow}
-	type slot struct {
-		d *Dataset[T]
-		p int
-	}
-	slots := make([]slot, 0, total)
-	for _, d := range ds {
-		for p := 0; p < d.NumPartitions(); p++ {
-			slots = append(slots, slot{d, p})
-		}
-	}
-	// Each output slot is computed by the rank holding its source partition,
-	// so the result needs a custom ownership map (the canonical i % procs
-	// assignment would make ranks read partitions they don't hold).
-	res.owner = func(i int) int { return slots[i].d.ownerOf(slots[i].p) }
-	var tms []TaskMetrics
-	gc, err := gcPauseDelta(func() error {
-		var err error
-		tms, err = ctx.runTasksOwned(total, func(i int) int64 { return slots[i].d.partitionSizeHint(slots[i].p) }, res.ownerOf, func(i int, tm *TaskMetrics) error {
-			start := time.Now()
-			items, err := slots[i].d.partition(slots[i].p, tm)
-			if err != nil {
-				return err
-			}
-			tm.InputItems = len(items)
-			tm.OutputItems = len(items)
-			if err := storePartition(res, i, items, tm); err != nil {
-				return err
-			}
-			tm.Wall = time.Since(start)
-			return nil
-		})
-		return err
-	})
-	stage.Tasks = tms
-	stage.GCPause = gc
-	ctx.recordStage(stage)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // SortPartitions sorts every partition in place by less — used after a

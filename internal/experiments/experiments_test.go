@@ -397,26 +397,3 @@ func TestProjectionPushdownWins(t *testing.T) {
 		t.Fatalf("format rows = %d, want 4", len(rows))
 	}
 }
-
-// TestKernelsAblationByteIdentical runs the hot-kernel ablation end to end:
-// the constructor itself fails unless the fast and reference runs emit
-// byte-identical VCFs, so this test is the pipeline-level determinism
-// property for DisableFastKernels.
-func TestKernelsAblationByteIdentical(t *testing.T) {
-	res, err := Kernels(SmallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.VCFIdentical {
-		t.Fatal("VCF outputs differ between kernel modes")
-	}
-	if res.Fast.Calls == 0 {
-		t.Fatal("pipeline produced no calls; the identity check is vacuous")
-	}
-	if res.Fast.Calls != res.Reference.Calls {
-		t.Fatalf("call counts differ: fast %d, reference %d", res.Fast.Calls, res.Reference.Calls)
-	}
-	if rows := res.Format(); len(rows) != 5 {
-		t.Fatalf("format rows = %d, want 5", len(rows))
-	}
-}

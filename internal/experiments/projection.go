@@ -6,12 +6,13 @@ import (
 
 	"github.com/gpf-go/gpf/internal/align"
 	"github.com/gpf-go/gpf/internal/colfmt"
+	"github.com/gpf-go/gpf/internal/compress"
 	"github.com/gpf-go/gpf/internal/engine"
 	"github.com/gpf-go/gpf/internal/sam"
 	"github.com/gpf-go/gpf/internal/workload"
 )
 
-// ProjectionRun is one side of the columnar-storage ablation: a
+// ProjectionRun is one side of the columnar-storage comparison: a
 // coordinate-only census over serialized record partitions.
 type ProjectionRun struct {
 	Mode         string // "columnar" or "gob"
@@ -22,11 +23,12 @@ type ProjectionRun struct {
 	PruningRatio float64
 }
 
-// ProjectionResult reproduces the projection-pushdown ablation: the same
+// ProjectionResult reproduces the projection-pushdown comparison: the same
 // coordinate census (the repartitioner's load-census pattern, which reads
-// only RefID/Pos) over columnar partitions with field pruning versus the
-// generic gob fallback (Engine.DisableColumnar). The columnar side must
-// decode strictly fewer bytes for the identical answer.
+// only RefID/Pos) over partitions stored with the columnar codec
+// (colfmt.Codec, field pruning) versus the generic gob codec (row format,
+// decodes whole). The columnar side must decode strictly fewer bytes for the
+// identical answer.
 type ProjectionResult struct {
 	Records  int
 	Columnar ProjectionRun
@@ -42,7 +44,8 @@ func (r *ProjectionResult) DecodeReduction() float64 {
 	return 1 - float64(r.Columnar.DecodedBytes)/float64(r.Gob.DecodedBytes)
 }
 
-// Projection aligns the workload's reads and runs the census ablation.
+// Projection aligns the workload's reads and runs the census under both
+// codecs.
 func Projection(s Scale) (*ProjectionResult, error) {
 	d := s.dataset(workload.WGS)
 	rt := s.newRuntime(d)
@@ -59,14 +62,14 @@ func Projection(s Scale) (*ProjectionResult, error) {
 
 	res := &ProjectionResult{Records: len(records)}
 	for _, mode := range []struct {
-		name    string
-		disable bool
-		out     *ProjectionRun
+		name  string
+		codec engine.Serializer[sam.Record]
+		out   *ProjectionRun
 	}{
-		{"columnar", false, &res.Columnar},
-		{"gob", true, &res.Gob},
+		{"columnar", colfmt.Codec{}, &res.Columnar},
+		{"gob", compress.GobCodec[sam.Record]{}, &res.Gob},
 	} {
-		run, err := projectionCensus(s, records, mode.disable)
+		run, err := projectionCensus(s, records, mode.codec)
 		if err != nil {
 			return nil, fmt.Errorf("projection %s: %w", mode.name, err)
 		}
@@ -80,14 +83,13 @@ func Projection(s Scale) (*ProjectionResult, error) {
 	return res, nil
 }
 
-// projectionCensus stores records as serialized partitions and counts them
-// by coordinate bucket through a FieldCoord projection view.
-func projectionCensus(s Scale, records []sam.Record, disableColumnar bool) (ProjectionRun, error) {
+// projectionCensus stores records as serialized partitions under codec and
+// counts them by coordinate bucket with a declared FieldCoord read.
+func projectionCensus(s Scale, records []sam.Record, codec engine.Serializer[sam.Record]) (ProjectionRun, error) {
 	ctx := engine.NewContext(s.Workers)
 	ctx.StoreSerialized = true
-	ctx.DisableColumnar = disableColumnar
 	stored, err := engine.MapPartitions("projection/store",
-		engine.Parallelize(ctx, records, s.NumPartitions), colfmt.Codec{},
+		engine.Parallelize(ctx, records, s.NumPartitions), codec,
 		func(_ int, items []sam.Record) ([]sam.Record, error) { return items, nil },
 		engine.ReadsOnly(0))
 	if err != nil {
@@ -96,11 +98,10 @@ func projectionCensus(s Scale, records []sam.Record, disableColumnar bool) (Proj
 	if err := stored.Force(); err != nil {
 		return ProjectionRun{}, err
 	}
-	view := engine.ReadingFields(stored, colfmt.FieldCoord)
 	ctx.ResetMetrics() // isolate the census read from the store stage
 
 	start := time.Now()
-	if _, err := engine.CountByKey("projection/census", view, func(r sam.Record) int {
+	if _, err := engine.CountByKey("projection/census", stored, func(r sam.Record) int {
 		return int(r.RefID)<<20 | int(r.Pos)
 	}, engine.ReadsOnly(colfmt.FieldCoord)); err != nil {
 		return ProjectionRun{}, err
@@ -115,7 +116,7 @@ func projectionCensus(s Scale, records []sam.Record, disableColumnar bool) (Proj
 	}, nil
 }
 
-// Format renders the ablation table.
+// Format renders the comparison table.
 func (r *ProjectionResult) Format() []string {
 	out := []string{fmt.Sprintf("Projection pushdown: coordinate census over %d stored records", r.Records)}
 	for _, run := range []*ProjectionRun{&r.Columnar, &r.Gob} {

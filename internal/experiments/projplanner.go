@@ -12,13 +12,13 @@ import (
 	"github.com/gpf-go/gpf/internal/workload"
 )
 
-// ProjPlannerRun is one mode of the projection-planner ablation. The census
+// ProjPlannerRun is one mode of the projection-planner comparison. The census
 // phase measures decode-side pruning (bytes the reader skipped in the stored
 // partitions); the wire phase measures map-side shuffle pruning (bytes the
 // repartition stage encoded onto the wire for a downstream consumer that
 // rebuilds only coordinates and flags).
 type ProjPlannerRun struct {
-	Mode          string // "manual-view", "planner" or "disabled"
+	Mode          string // "planner" or "undeclared"
 	CensusWall    time.Duration
 	CensusDecoded int64
 	CensusPruned  int64
@@ -27,46 +27,41 @@ type ProjPlannerRun struct {
 	WireOutMask   engine.FieldMask // resolved OutMask of the shuffle stage
 }
 
-// ProjPlannerResult compares three ways of getting (or not getting)
-// projection pushdown for the identical answer:
+// ProjPlannerResult runs the same plan twice for the identical answer:
 //
-//   - manual-view: the planner is disabled and the caller narrows reads by
-//     hand with an explicit ReadingFields view — the call-site idiom before
-//     field effects existed. Decode pruning works; the shuffle wire does not
-//     narrow, because nothing propagates demand backwards into the map side.
 //   - planner: ops declare FieldEffects and the planner infers both the
 //     decode masks and the shuffle wire masks from the sink's demand.
-//   - disabled: planner off, no view. Every read decodes every column and
-//     the wire carries whole records.
+//   - undeclared: the same ops with no declared effects. Every edge then
+//     resolves to FieldsAll — the engine without the planner's pass: every
+//     read decodes every column and the wire carries whole records.
 type ProjPlannerResult struct {
-	Records  int
-	Buckets  int // census cardinality, identical across modes by construction
-	Manual   ProjPlannerRun
-	Planner  ProjPlannerRun
-	Disabled ProjPlannerRun
+	Records    int
+	Buckets    int // census cardinality, identical across modes by construction
+	Planner    ProjPlannerRun
+	Undeclared ProjPlannerRun
 }
 
 // WireReduction is the fraction of shuffle bytes the planner kept off the
-// wire relative to the manual-view mode (which can only prune decodes).
+// wire relative to the undeclared run.
 func (r *ProjPlannerResult) WireReduction() float64 {
-	if r.Manual.WireBytes == 0 {
+	if r.Undeclared.WireBytes == 0 {
 		return 0
 	}
-	return 1 - float64(r.Planner.WireBytes)/float64(r.Manual.WireBytes)
+	return 1 - float64(r.Planner.WireBytes)/float64(r.Undeclared.WireBytes)
 }
 
 // DecodeReduction is the fraction of census decode bytes the planner saved
-// relative to the disabled run.
+// relative to the undeclared run.
 func (r *ProjPlannerResult) DecodeReduction() float64 {
-	if r.Disabled.CensusDecoded == 0 {
+	if r.Undeclared.CensusDecoded == 0 {
 		return 0
 	}
-	return 1 - float64(r.Planner.CensusDecoded)/float64(r.Disabled.CensusDecoded)
+	return 1 - float64(r.Planner.CensusDecoded)/float64(r.Undeclared.CensusDecoded)
 }
 
-// ProjectionPlanner aligns the workload once and runs the three modes over
-// the same records, checking that every mode produces the identical census
-// and the identical projected records before reporting byte deltas.
+// ProjectionPlanner aligns the workload once and runs both modes over the
+// same records, checking that they produce the identical census and the
+// identical projected records before reporting byte deltas.
 func ProjectionPlanner(s Scale) (*ProjPlannerResult, error) {
 	d := s.dataset(workload.WGS)
 	rt := s.newRuntime(d)
@@ -85,14 +80,14 @@ func ProjectionPlanner(s Scale) (*ProjPlannerResult, error) {
 	var baseCensus map[int]int
 	var baseProj []sam.Record
 	for _, mode := range []struct {
-		name string
-		out  *ProjPlannerRun
+		name     string
+		declared bool
+		out      *ProjPlannerRun
 	}{
-		{"manual-view", &res.Manual},
-		{"planner", &res.Planner},
-		{"disabled", &res.Disabled},
+		{"planner", true, &res.Planner},
+		{"undeclared", false, &res.Undeclared},
 	} {
-		run, census, projected, err := projPlannerMode(s, records, mode.name)
+		run, census, projected, err := projPlannerMode(s, records, mode.declared)
 		if err != nil {
 			return nil, fmt.Errorf("projection-planner %s: %w", mode.name, err)
 		}
@@ -111,19 +106,15 @@ func ProjectionPlanner(s Scale) (*ProjPlannerResult, error) {
 		}
 	}
 
-	// The ablation is only worth printing if the orderings hold: planner and
-	// manual view both beat full decode, and only the planner narrows the wire.
-	if res.Planner.CensusDecoded >= res.Disabled.CensusDecoded {
-		return nil, fmt.Errorf("projection-planner: planner decoded %d bytes, disabled %d — decode pruning ineffective",
-			res.Planner.CensusDecoded, res.Disabled.CensusDecoded)
+	// The comparison is only worth printing if the planner beats full decode
+	// and narrows the wire.
+	if res.Planner.CensusDecoded >= res.Undeclared.CensusDecoded {
+		return nil, fmt.Errorf("projection-planner: planner decoded %d bytes, undeclared %d — decode pruning ineffective",
+			res.Planner.CensusDecoded, res.Undeclared.CensusDecoded)
 	}
-	if res.Manual.CensusDecoded >= res.Disabled.CensusDecoded {
-		return nil, fmt.Errorf("projection-planner: manual view decoded %d bytes, disabled %d — view pruning ineffective",
-			res.Manual.CensusDecoded, res.Disabled.CensusDecoded)
-	}
-	if res.Planner.WireBytes >= res.Manual.WireBytes {
-		return nil, fmt.Errorf("projection-planner: planner shuffled %d wire bytes, manual view %d — wire pruning ineffective",
-			res.Planner.WireBytes, res.Manual.WireBytes)
+	if res.Planner.WireBytes >= res.Undeclared.WireBytes {
+		return nil, fmt.Errorf("projection-planner: planner shuffled %d wire bytes, undeclared %d — wire pruning ineffective",
+			res.Planner.WireBytes, res.Undeclared.WireBytes)
 	}
 	return res, nil
 }
@@ -133,11 +124,11 @@ func ProjectionPlanner(s Scale) (*ProjPlannerResult, error) {
 func censusKey(r sam.Record) int { return int(r.RefID)<<20 | int(r.Pos) }
 
 // projPlannerMode stores the records as serialized columnar partitions, then
-// runs the census phase and the wire phase under one mode's configuration.
-func projPlannerMode(s Scale, records []sam.Record, mode string) (ProjPlannerRun, map[int]int, []sam.Record, error) {
+// runs the census phase and the wire phase with or without the ops' field
+// effect declarations.
+func projPlannerMode(s Scale, records []sam.Record, declared bool) (ProjPlannerRun, map[int]int, []sam.Record, error) {
 	ctx := engine.NewContext(s.Workers)
 	ctx.StoreSerialized = true
-	ctx.DisableProjectionPlanner = mode != "planner"
 	stored, err := engine.MapPartitions("projplanner/store",
 		engine.Parallelize(ctx, records, s.NumPartitions), colfmt.Codec{},
 		func(_ int, items []sam.Record) ([]sam.Record, error) { return items, nil },
@@ -150,20 +141,16 @@ func projPlannerMode(s Scale, records []sam.Record, mode string) (ProjPlannerRun
 	}
 	var run ProjPlannerRun
 
-	// Census phase: count records per coordinate bucket. The manual-view mode
-	// narrows the read with an explicit projection view and no declaration;
-	// the other modes declare the read and let the planner (or its absence)
-	// decide what the decode touches.
+	// Census phase: count records per coordinate bucket.
 	ctx.ResetMetrics()
 	start := time.Now()
 	var census map[int]int
-	if mode == "manual-view" {
-		view := engine.ReadingFields(stored, colfmt.FieldCoord)
-		//lint:ignore gpflint/fieldfx manual-view mode reproduces the pre-planner call site: pruning comes from the explicit view, not a declaration
-		census, err = engine.CountByKey("projplanner/census", view, censusKey)
-	} else {
+	if declared {
 		census, err = engine.CountByKey("projplanner/census", stored, censusKey,
 			engine.ReadsOnly(colfmt.FieldCoord))
+	} else {
+		//lint:ignore gpflint/fieldfx the undeclared mode is the planner's baseline: the same census without a declaration
+		census, err = engine.CountByKey("projplanner/census", stored, censusKey)
 	}
 	if err != nil {
 		return ProjPlannerRun{}, nil, nil, err
@@ -174,20 +161,32 @@ func projPlannerMode(s Scale, records []sam.Record, mode string) (ProjPlannerRun
 	run.CensusPruned = m.TotalPrunedBytes()
 
 	// Wire phase: repartition by coordinate, then rebuild only coordinates
-	// and flags. Under the planner the Rebuilds demand flows backwards
+	// and flags. With declarations the Rebuilds demand flows backwards
 	// through the shuffle, so map tasks encode two columns onto the wire;
-	// without it the wire carries whole records regardless of any view.
+	// without them the wire carries whole records.
 	ctx.ResetMetrics()
 	start = time.Now()
-	shuffled, err := engine.PartitionBy("projplanner/repart", stored, s.NumPartitions,
-		censusKey, engine.ReadsOnly(colfmt.FieldCoord))
-	if err != nil {
-		return ProjPlannerRun{}, nil, nil, err
+	var shuffled, projected *engine.Dataset[sam.Record]
+	if declared {
+		shuffled, err = engine.PartitionBy("projplanner/repart", stored, s.NumPartitions,
+			censusKey, engine.ReadsOnly(colfmt.FieldCoord))
+		if err == nil {
+			projected, err = engine.Map("projplanner/strip", shuffled, colfmt.Codec{},
+				func(r sam.Record) sam.Record {
+					return sam.Record{RefID: r.RefID, Pos: r.Pos, Flag: r.Flag}
+				}, engine.Rebuilds(colfmt.FieldCoord|colfmt.FieldFlag))
+		}
+	} else {
+		//lint:ignore gpflint/fieldfx the undeclared mode is the planner's baseline: the same repartition without a declaration
+		shuffled, err = engine.PartitionBy("projplanner/repart", stored, s.NumPartitions, censusKey)
+		if err == nil {
+			//lint:ignore gpflint/fieldfx the undeclared mode is the planner's baseline: the same rebuild without a declaration
+			projected, err = engine.Map("projplanner/strip", shuffled, colfmt.Codec{},
+				func(r sam.Record) sam.Record {
+					return sam.Record{RefID: r.RefID, Pos: r.Pos, Flag: r.Flag}
+				})
+		}
 	}
-	projected, err := engine.Map("projplanner/strip", shuffled, colfmt.Codec{},
-		func(r sam.Record) sam.Record {
-			return sam.Record{RefID: r.RefID, Pos: r.Pos, Flag: r.Flag}
-		}, engine.Rebuilds(colfmt.FieldCoord|colfmt.FieldFlag))
 	if err != nil {
 		return ProjPlannerRun{}, nil, nil, err
 	}
@@ -246,12 +245,12 @@ func sameProjected(a, b []sam.Record) error {
 	return nil
 }
 
-// Format renders the three-mode table.
+// Format renders the two-mode table.
 func (r *ProjPlannerResult) Format() []string {
 	out := []string{fmt.Sprintf(
 		"Projection planner: census + repartition over %d records (%d buckets)",
 		r.Records, r.Buckets)}
-	for _, run := range []*ProjPlannerRun{&r.Manual, &r.Planner, &r.Disabled} {
+	for _, run := range []*ProjPlannerRun{&r.Planner, &r.Undeclared} {
 		out = append(out, row(run.Mode,
 			fmt.Sprintf("decoded %7.3f MB", float64(run.CensusDecoded)/1e6),
 			fmt.Sprintf("pruned %7.3f MB", float64(run.CensusPruned)/1e6),
@@ -260,7 +259,7 @@ func (r *ProjPlannerResult) Format() []string {
 			fmt.Sprintf("census %s", run.CensusWall.Round(time.Millisecond))))
 	}
 	out = append(out,
-		fmt.Sprintf("census decode reduction vs disabled: %.1f%%", 100*r.DecodeReduction()),
-		fmt.Sprintf("shuffle wire reduction vs manual view: %.1f%%", 100*r.WireReduction()))
+		fmt.Sprintf("census decode reduction vs undeclared: %.1f%%", 100*r.DecodeReduction()),
+		fmt.Sprintf("shuffle wire reduction vs undeclared: %.1f%%", 100*r.WireReduction()))
 	return out
 }

@@ -63,9 +63,6 @@ func runScalingWGS(ctx *engine.Context, sp ScalingSpec) ([]byte, error) {
 	rt.NumPartitions = sp.Scale.NumPartitions
 	rt.Known = d.Known
 	rt.Codec = sp.Opts.Codec
-	ctx.DisablePipelinedShuffle = sp.Opts.BarrierShuffle
-	ctx.DisableMapSideCombine = sp.Opts.NoMapSideCombine
-	ctx.DisableFastKernels = sp.Opts.NoFastKernels
 	if !sp.Opts.DynamicRepartition {
 		rt.SplitThresholdFactor = 1e18
 	}
@@ -205,6 +202,7 @@ func RunWGSOn(s Scale, backend string, procs int) ([]string, error) {
 	var (
 		out     []byte
 		metrics engine.Metrics
+		nprocs  = 1 // inproc and sim run every task in this process
 		err     error
 	)
 	switch backend {
@@ -215,7 +213,7 @@ func RunWGSOn(s Scale, backend string, procs int) ([]string, error) {
 		}
 		var r *mproc.Result
 		if r, err = mproc.Run(ScalingJobName, spec, mproc.Options{Procs: procs, Slots: slots}); err == nil {
-			out, metrics = r.Output, r.Metrics
+			out, metrics, nprocs = r.Output, r.Metrics, procs
 		}
 	case "sim":
 		ctx := engine.NewContextOn(simexec.New(slots))
@@ -236,7 +234,7 @@ func RunWGSOn(s Scale, backend string, procs int) ([]string, error) {
 	}
 	wall := time.Since(start)
 	lines := []string{
-		fmt.Sprintf("WGS pipeline on backend=%s (procs=%d, slots=%d)", backend, procs, slots),
+		fmt.Sprintf("WGS pipeline on backend=%s (procs=%d, slots=%d)", backend, nprocs, slots),
 		row("wall", fmt.Sprintf("%.2fs", wall.Seconds())),
 		row("output VCF bytes", fmt.Sprintf("%d", len(out))),
 		row("stages", fmt.Sprintf("%d", metrics.NumStages())),

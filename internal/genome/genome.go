@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"github.com/gpf-go/gpf/internal/kernels"
 )
 
 // Bases used throughout the framework. Sequences are stored as upper-case
@@ -203,24 +201,11 @@ var complementTab = func() (t [256]byte) {
 
 // ReverseComplement returns the reverse complement of seq as a new slice.
 func ReverseComplement(seq []byte) []byte {
-	if !kernels.Enabled() {
-		return reverseComplementRef(seq)
-	}
 	out := make([]byte, len(seq))
 	// Walk both ends toward the middle: every iteration fills two output
 	// bytes from one cache line at each end of the input.
 	for i, j := 0, len(seq)-1; i <= j; i, j = i+1, j-1 {
 		out[j], out[i] = complementTab[seq[i]], complementTab[seq[j]]
-	}
-	return out
-}
-
-// reverseComplementRef is the original per-base implementation, kept as the
-// equivalence oracle and the DisableFastKernels path.
-func reverseComplementRef(seq []byte) []byte {
-	out := make([]byte, len(seq))
-	for i, b := range seq {
-		out[len(seq)-1-i] = Complement(b)
 	}
 	return out
 }
@@ -262,20 +247,6 @@ func BaseCode(b byte) int {
 // CodeBase is the inverse of BaseCode for codes 0..3.
 func CodeBase(code int) byte {
 	return Alphabet[code&3]
-}
-
-// GCContent returns the fraction of G/C bases in seq (0 for empty input).
-func GCContent(seq []byte) float64 {
-	if len(seq) == 0 {
-		return 0
-	}
-	gc := 0
-	for _, b := range seq {
-		if b == 'G' || b == 'C' || b == 'g' || b == 'c' {
-			gc++
-		}
-	}
-	return float64(gc) / float64(len(seq))
 }
 
 // ValidateSeq reports the first non-ACGTN byte in seq, or -1 if the sequence

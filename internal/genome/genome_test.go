@@ -133,21 +133,6 @@ func TestBaseCodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGCContent(t *testing.T) {
-	if gc := GCContent([]byte("GGCC")); gc != 1 {
-		t.Fatalf("GC of GGCC = %v", gc)
-	}
-	if gc := GCContent([]byte("AATT")); gc != 0 {
-		t.Fatalf("GC of AATT = %v", gc)
-	}
-	if gc := GCContent(nil); gc != 0 {
-		t.Fatalf("GC of empty = %v", gc)
-	}
-	if gc := GCContent([]byte("ACGT")); gc != 0.5 {
-		t.Fatalf("GC of ACGT = %v", gc)
-	}
-}
-
 func TestValidateSeq(t *testing.T) {
 	if i := ValidateSeq([]byte("ACGTN")); i != -1 {
 		t.Fatalf("clean seq flagged at %d", i)
@@ -188,7 +173,13 @@ func TestSynthesizeComposition(t *testing.T) {
 		if idx := ValidateSeq(seq); idx != -1 {
 			t.Fatalf("contig %d has invalid byte %q at %d", i, seq[idx], idx)
 		}
-		gc := GCContent(seq)
+		gc := 0.0
+		for _, b := range seq {
+			if b == 'G' || b == 'C' {
+				gc++
+			}
+		}
+		gc /= float64(len(seq))
 		if gc < 0.2 || gc > 0.65 {
 			t.Fatalf("contig %d GC %.3f outside plausible range", i, gc)
 		}
