@@ -59,7 +59,7 @@ func bandedEligible(m, n int, sc Scoring) bool {
 	if m == 0 || n == 0 {
 		return false
 	}
-	if sc.Match < 0 || sc.Mismatch > 0 || sc.GapOpen > 0 || sc.GapExtend > 0 {
+	if !scoringSigned(sc) {
 		return false
 	}
 	lo, hi := bandBounds(m, n)

@@ -2,6 +2,7 @@ package align
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/gpf-go/gpf/internal/genome"
 )
@@ -10,24 +11,35 @@ import (
 const (
 	sentinel   = 0
 	numSymbols = 5
-	// occCheckpoint is the stride of occurrence-count checkpoints; rank
-	// queries scan at most occCheckpoint-1 BWT bytes past a checkpoint.
-	occCheckpoint = 64
+	// blockRows is the number of BWT rows per rank block: one block holds
+	// the occurrence counts before its first row and the rows' 2-bit codes
+	// as two 64-bit planes.
+	blockRows = 64
 	// saSampleRate is the suffix-array sampling stride for locate queries.
 	saSampleRate = 4
 )
 
+// rankBlock covers BWT rows [64b, 64b+64): occ[k] counts code k (A..T =
+// 0..3) in the rows before the block, bits[0] and bits[1] hold the low and
+// high bit of each row's code (row r at bit r%64). 32 bytes per 64 rows.
+type rankBlock struct {
+	occ  [4]uint32
+	bits [2]uint64
+}
+
 // FMIndex is a BWT-based full-text index over the concatenated reference,
 // supporting backward search (exact-match intervals) and locate.
+//
+// The BWT is 2-bit packed in the BWA layout: interleaved rankBlocks, so a
+// rank query is one block read plus a masked popcount. The one sentinel row
+// (primary) is packed as A and corrected for in rank and lf.
 type FMIndex struct {
 	ref *genome.Reference
 
-	bwt []byte // BWT of coded text (values 0..4)
+	blocks  []rankBlock
+	primary int32 // BWT row holding the sentinel
 	// counts[c] = number of symbols < c in the text (the C array).
 	counts [numSymbols + 1]int32
-	// occ checkpoints: occ[(i/occCheckpoint)*numSymbols + c] = occurrences
-	// of c in bwt[:i rounded down to checkpoint].
-	occ []int32
 	// sa holds sampled suffix array entries: saSample[i] = SA[i*saSampleRate].
 	saSample []int32
 	n        int // text length including sentinel
@@ -48,18 +60,19 @@ func code(b byte) byte {
 	return byte(c + 1)
 }
 
-// BuildFMIndex indexes the reference genome (forward strand; reads are
-// searched in both orientations by the aligner).
-func BuildFMIndex(ref *genome.Reference) (*FMIndex, error) {
+// searchCode maps a pattern byte to the index alphabet: uppercase A/C/G/T
+// to 1..4, every other byte (N, lowercase, junk) to 0, which never matches.
+var searchCode = [256]byte{'A': 1, 'C': 2, 'G': 3, 'T': 4}
+
+// indexText concatenates the reference contigs into coded text ending in
+// the sentinel, returning it with each contig's start offset.
+func indexText(ref *genome.Reference) (text []byte, starts []int64) {
 	var total int64
 	for i := range ref.Contigs {
 		total += int64(ref.Contigs[i].Len())
 	}
-	if total == 0 {
-		return nil, fmt.Errorf("align: empty reference")
-	}
-	text := make([]byte, total+1)
-	starts := make([]int64, ref.NumContigs())
+	text = make([]byte, total+1)
+	starts = make([]int64, ref.NumContigs())
 	var off int64
 	for i := range ref.Contigs {
 		starts[i] = off
@@ -69,26 +82,38 @@ func BuildFMIndex(ref *genome.Reference) (*FMIndex, error) {
 		}
 	}
 	text[off] = sentinel
+	return text, starts
+}
 
+// BuildFMIndex indexes the reference genome (forward strand; reads are
+// searched in both orientations by the aligner).
+func BuildFMIndex(ref *genome.Reference) (*FMIndex, error) {
+	text, starts := indexText(ref)
+	if len(text) == 1 {
+		return nil, fmt.Errorf("align: empty reference")
+	}
 	sa := buildSuffixArray(text)
 	n := len(text)
 	idx := &FMIndex{ref: ref, n: n, starts: starts}
 
-	// BWT and sampled SA.
-	idx.bwt = make([]byte, n)
+	// Packed BWT and sampled SA. Row i's BWT symbol precedes suffix sa[i];
+	// the row whose suffix is the whole text holds the sentinel.
+	idx.blocks = make([]rankBlock, n/blockRows+1)
 	idx.saSample = make([]int32, (n+saSampleRate-1)/saSampleRate)
 	for i, p := range sa {
+		var c byte
 		if p == 0 {
-			idx.bwt[i] = text[n-1]
+			idx.primary = int32(i)
 		} else {
-			idx.bwt[i] = text[p-1]
+			c = text[p-1] - 1
 		}
+		b := &idx.blocks[i/blockRows]
+		b.bits[0] |= uint64(c&1) << (i % blockRows)
+		b.bits[1] |= uint64(c>>1) << (i % blockRows)
 		if i%saSampleRate == 0 {
 			idx.saSample[i/saSampleRate] = p
 		}
 	}
-	// To locate unsampled rows we need LF-mapping walks; store full SA rows
-	// mod sample via walking — but walking needs occ, built next.
 
 	// C array.
 	var freq [numSymbols]int32
@@ -102,39 +127,55 @@ func BuildFMIndex(ref *genome.Reference) (*FMIndex, error) {
 	}
 	idx.counts[numSymbols] = cum
 
-	// Occ checkpoints. The loop runs to i == n inclusive so the final
-	// checkpoint is written even when n is an exact multiple of the stride
-	// (rank(c, n) reads it).
-	nCheck := n/occCheckpoint + 1
-	idx.occ = make([]int32, nCheck*numSymbols)
-	var running [numSymbols]int32
-	for i := 0; i <= n; i++ {
-		if i%occCheckpoint == 0 {
-			copy(idx.occ[(i/occCheckpoint)*numSymbols:], running[:])
-		}
-		if i < n {
-			running[idx.bwt[i]]++
+	// Block occurrence counts, over the packed codes (the sentinel counts as
+	// A here; rank subtracts it). There are n/blockRows+1 blocks so that
+	// rank(c, n) has a block to read even when n is a multiple of 64.
+	var running [4]uint32
+	for b := range idx.blocks {
+		idx.blocks[b].occ = running
+		rows := min(blockRows, n-b*blockRows)
+		for k := range running {
+			running[k] += uint32(bits.OnesCount64(codeMask(&idx.blocks[b], byte(k)) & lowMask(rows)))
 		}
 	}
-	// We intentionally drop the full SA; locate walks LF to a sampled row.
 	return idx, nil
 }
 
-// rank returns the number of occurrences of symbol c in bwt[:i].
-func (x *FMIndex) rank(c byte, i int32) int32 {
-	cp := int(i) / occCheckpoint
-	count := x.occ[cp*numSymbols+int(c)]
-	for j := cp * occCheckpoint; j < int(i); j++ {
-		if x.bwt[j] == c {
-			count++
-		}
+// lowMask returns a mask of the low r bits, 0 <= r <= 64.
+func lowMask(r int) uint64 {
+	if r >= 64 {
+		return ^uint64(0)
 	}
-	return count
+	return 1<<uint(r) - 1
+}
+
+// codeMask returns the rows of block b whose 2-bit code is k.
+func codeMask(b *rankBlock, k byte) uint64 {
+	// XOR with all-ones where k's bit is 0 turns "bit equals k's bit" into 1.
+	lo := b.bits[0] ^ (uint64(k&1) - 1)
+	hi := b.bits[1] ^ (uint64(k>>1) - 1)
+	return lo & hi
+}
+
+// rank returns the number of occurrences of symbol c (1..4) in BWT rows
+// [0, i).
+func (x *FMIndex) rank(c byte, i int32) int32 {
+	b := &x.blocks[i/blockRows]
+	r := int32(b.occ[c-1]) + int32(bits.OnesCount64(codeMask(b, c-1)&lowMask(int(i%blockRows))))
+	if c == 1 && x.primary < i {
+		r-- // the sentinel is packed as A
+	}
+	return r
 }
 
 // lf is the last-to-first mapping of BWT row i.
 func (x *FMIndex) lf(i int32) int32 {
-	c := x.bwt[i]
+	if i == x.primary {
+		return 0 // the sentinel sorts first
+	}
+	b := &x.blocks[i/blockRows]
+	s := uint(i % blockRows)
+	c := byte(b.bits[0]>>s&1|(b.bits[1]>>s&1)<<1) + 1
 	return x.counts[c] + x.rank(c, i)
 }
 
@@ -146,16 +187,16 @@ type Interval struct {
 // Size returns the number of matches in the interval.
 func (iv Interval) Size() int { return int(iv.Hi - iv.Lo) }
 
-// BackwardSearch returns the BWT interval of exact occurrences of pattern
-// (ACGT bytes). An empty interval means no match.
+// BackwardSearch returns the BWT interval of exact occurrences of pattern.
+// Any byte other than uppercase A/C/G/T (N, lowercase, junk) yields the
+// empty interval, so callers need no separate validation pass.
 func (x *FMIndex) BackwardSearch(pattern []byte) Interval {
 	lo, hi := int32(0), int32(x.n)
 	for i := len(pattern) - 1; i >= 0; i-- {
-		bc := genome.BaseCode(pattern[i])
-		if bc < 0 {
+		c := searchCode[pattern[i]]
+		if c == 0 {
 			return Interval{}
 		}
-		c := byte(bc + 1)
 		lo = x.counts[c] + x.rank(c, lo)
 		hi = x.counts[c] + x.rank(c, hi)
 		if lo >= hi {

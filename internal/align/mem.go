@@ -101,11 +101,8 @@ type candidate struct {
 func (a *Aligner) seedCandidates(seq []byte) []candidate {
 	var positions []int64
 	for off := 0; off+a.cfg.SeedLen <= len(seq); off += a.cfg.SeedStride {
-		seed := seq[off : off+a.cfg.SeedLen]
-		if genome.ValidateSeq(seed) != -1 || containsN(seed) {
-			continue
-		}
-		iv := a.idx.BackwardSearch(seed)
+		// BackwardSearch rejects seeds holding anything but A/C/G/T.
+		iv := a.idx.BackwardSearch(seq[off : off+a.cfg.SeedLen])
 		if iv.Size() == 0 || iv.Size() > a.cfg.MaxSeedHits {
 			continue
 		}
@@ -137,13 +134,22 @@ func (a *Aligner) seedCandidates(seq []byte) []candidate {
 	return out
 }
 
-func containsN(seq []byte) bool {
-	for _, b := range seq {
-		if b == 'N' {
-			return true
-		}
+// candidateWindow returns the reference window a read of length m is fitted
+// into at candidate c (the seeded locus plus Flank on each side, clipped to
+// the contig) and the position of the window's first base. ok is false when
+// the candidate does not resolve to a contig (it begins before contig 0 or
+// inside the sentinel) or the clipped window is under half the read.
+func (a *Aligner) candidateWindow(c candidate, m int) (start genome.Position, window []byte, ok bool) {
+	pos, ok := a.idx.Resolve(c.start)
+	if !ok {
+		return genome.Position{}, nil, false
 	}
-	return false
+	winStart := pos.Pos - a.cfg.Flank
+	window = a.idx.ref.Slice(pos.Contig, winStart, pos.Pos+m+a.cfg.Flank)
+	if len(window) < m/2 {
+		return genome.Position{}, nil, false
+	}
+	return genome.Position{Contig: pos.Contig, Pos: max(winStart, 0)}, window, true
 }
 
 // alignOriented aligns one orientation of the read, returning scored
@@ -153,29 +159,16 @@ func (a *Aligner) alignOriented(seq []byte, reverse bool) []Alignment {
 	var out []Alignment
 	minScore := int(a.cfg.MinScoreFrac * float64(len(seq)))
 	for _, c := range cands {
-		pos, ok := a.idx.Resolve(c.start)
+		start, window, ok := a.candidateWindow(c, len(seq))
 		if !ok {
-			// Candidate begins before contig 0 or inside the sentinel; try
-			// clamping to the window logic anyway via contig resolution of a
-			// nearby offset.
 			continue
-		}
-		winStart := pos.Pos - a.cfg.Flank
-		winEnd := pos.Pos + len(seq) + a.cfg.Flank
-		window := a.idx.ref.Slice(pos.Contig, winStart, winEnd)
-		if len(window) < len(seq)/2 {
-			continue
-		}
-		clampedStart := winStart
-		if clampedStart < 0 {
-			clampedStart = 0
 		}
 		fit := fitAlign(seq, window, a.cfg.Scoring)
 		if fit.Score < minScore {
 			continue
 		}
 		out = append(out, Alignment{
-			Pos:     genome.Position{Contig: pos.Contig, Pos: clampedStart + fit.RefStart},
+			Pos:     genome.Position{Contig: start.Contig, Pos: start.Pos + fit.RefStart},
 			Reverse: reverse,
 			Score:   fit.Score,
 			Cigar:   fit.Cigar,

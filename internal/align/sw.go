@@ -30,11 +30,17 @@ type fitResult struct {
 // traceback). It returns the best score, the window offset where the
 // alignment begins, and an M/I/D CIGAR covering the whole read.
 //
-// It dispatches to the banded DP (banded.go), which fills only a diagonal
-// band of the matrix and proves its own answer identical via the
-// out-of-band score certificate — falling back to the full DP on the rare
-// reads whose banded optimum cannot rule out an out-of-band path.
+// It dispatches over three exact tiers, each answering only when its
+// certificate proves the answer identical to the full DP's:
+//   - ungapped (ungapped.go): the best ungapped diagonal, when it beats
+//     every possible gapped path — most reads;
+//   - banded (banded.go): the DP over a diagonal band, when its optimum
+//     beats every out-of-band path — reads with short indels;
+//   - full: the complete matrix, for the rest.
 func fitAlign(read, window []byte, sc Scoring) fitResult {
+	if fit, ok := fitAlignUngapped(read, window, sc); ok {
+		return fit
+	}
 	if bandedEligible(len(read), len(window), sc) {
 		if fit, ok := fitAlignBanded(read, window, sc); ok {
 			return fit
@@ -44,9 +50,9 @@ func fitAlign(read, window []byte, sc Scoring) fitResult {
 }
 
 // fitAlignFull is the reference implementation: the complete (m+1)×(n+1)
-// Gotoh matrix. It is the runtime fallback when the banded certificate
-// fails (or the scoring is ineligible for banding) and the oracle for the
-// banded kernel's equivalence property tests.
+// Gotoh matrix. It is the runtime fallback when neither the ungapped nor
+// the banded certificate holds and the oracle for both kernels'
+// equivalence property tests.
 func fitAlignFull(read, window []byte, sc Scoring) fitResult {
 	m, n := len(read), len(window)
 	if m == 0 {

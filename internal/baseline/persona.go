@@ -33,6 +33,9 @@ func (m PersonaModel) ConversionTime(fastqBytes, bamBytes int64) time.Duration {
 	return time.Duration((in + out) * float64(time.Second))
 }
 
+// PersonaAlignStage names the stage of RunPersonaAlign that runs the aligner.
+const PersonaAlignStage = "persona/align-single-end"
+
 // RunPersonaAlign aligns reads single-end (Persona integrates SNAP and uses
 // single-end reads; §5.2.3), returning engine metrics for the alignment
 // compute itself. Conversion time is charged separately via ConversionTime.
@@ -50,7 +53,7 @@ func RunPersonaAlign(rt *core.Runtime, pairs []fastq.Pair) (engine.Metrics, int6
 	}
 	aligner := align.NewAligner(idx, rt.AlignerConfig)
 	ds := engine.Parallelize(rt.Engine, reads, rt.NumPartitions)
-	aligned, err := engine.MapPartitions("persona/align-single-end", ds, nil,
+	aligned, err := engine.MapPartitions(PersonaAlignStage, ds, nil,
 		func(_ int, rs []fastq.Record) ([]sam.Record, error) {
 			out := make([]sam.Record, 0, len(rs))
 			for i := range rs {

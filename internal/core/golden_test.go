@@ -19,15 +19,15 @@ import (
 )
 
 // goldenOutputs runs the Fig 3 WGS pipeline on the experiments' SmallScale
-// dataset (30 kb WGS profile, 8x coverage, seed 42, 4 read partitions,
-// 5 kb genomic partitions) with the given worker count and returns the
+// dataset (30 kb WGS profile, 8x coverage, 4 read partitions, 5 kb genomic
+// partitions) for the given seed and worker count and returns the
 // SHA-256 of the written VCF and of the final (recalibrated) records as a
 // coordinate-sorted SAM.
-func goldenOutputs(t *testing.T, workers int) (vcfSum, samSum string) {
+func goldenOutputs(t *testing.T, seed int64, workers int) (vcfSum, samSum string) {
 	t.Helper()
 	p := workload.DefaultProfile(workload.WGS, 30000)
 	p.Coverage = 8
-	d := workload.Make(p, 42)
+	d := workload.Make(p, seed)
 	rt := NewRuntime(engine.NewContext(workers), d.Ref)
 	rt.PartitionLen = 5000
 	rt.NumPartitions = 4
@@ -118,28 +118,31 @@ func readGolden(t *testing.T, name string) string {
 }
 
 // TestGoldenWGSDigest pins the pipeline's end-to-end output: the VCF and the
-// coordinate-sorted final SAM of the SmallScale seed-42 run must hash to the
-// checked-in digests on the in-process backend with one and two workers.
-// Every engine path and kernel is byte-identical to its reference oracle, so
-// any change that moves a single output byte fails here.
+// coordinate-sorted final SAM of the SmallScale run at seeds 42 and 43 must
+// hash to the checked-in digests on the in-process backend with one and two
+// workers. Every engine path and kernel is byte-identical to its reference
+// oracle, so any change that moves a single output byte fails here.
 //
 // The digests were recorded on linux/amd64. Other GOARCHes may fuse
 // floating-point multiply-adds in the pair-HMM and genotyper, which can move
 // a likelihood in its last bits, so the test only asserts on amd64.
 func TestGoldenWGSDigest(t *testing.T) {
-	wantVCF := readGolden(t, "smallscale_seed42.vcf.sha256")
-	wantSAM := readGolden(t, "smallscale_seed42.sam.sha256")
-	for _, workers := range []int{1, 2} {
-		gotVCF, gotSAM := goldenOutputs(t, workers)
-		if runtime.GOARCH != "amd64" {
-			t.Logf("W=%d: vcf %s sam %s (not asserted on %s)", workers, gotVCF, gotSAM, runtime.GOARCH)
-			continue
-		}
-		if gotVCF != wantVCF {
-			t.Errorf("W=%d: VCF digest %s, want %s", workers, gotVCF, wantVCF)
-		}
-		if gotSAM != wantSAM {
-			t.Errorf("W=%d: sorted SAM digest %s, want %s", workers, gotSAM, wantSAM)
+	for _, seed := range []int64{42, 43} {
+		base := "smallscale_seed" + strconv.FormatInt(seed, 10)
+		wantVCF := readGolden(t, base+".vcf.sha256")
+		wantSAM := readGolden(t, base+".sam.sha256")
+		for _, workers := range []int{1, 2} {
+			gotVCF, gotSAM := goldenOutputs(t, seed, workers)
+			if runtime.GOARCH != "amd64" {
+				t.Logf("seed %d W=%d: vcf %s sam %s (not asserted on %s)", seed, workers, gotVCF, gotSAM, runtime.GOARCH)
+				continue
+			}
+			if gotVCF != wantVCF {
+				t.Errorf("seed %d W=%d: VCF digest %s, want %s", seed, workers, gotVCF, wantVCF)
+			}
+			if gotSAM != wantSAM {
+				t.Errorf("seed %d W=%d: sorted SAM digest %s, want %s", seed, workers, gotSAM, wantSAM)
+			}
 		}
 	}
 }

@@ -249,19 +249,6 @@ func CodeBase(code int) byte {
 	return Alphabet[code&3]
 }
 
-// ValidateSeq reports the first non-ACGTN byte in seq, or -1 if the sequence
-// is clean.
-func ValidateSeq(seq []byte) int {
-	for i, b := range seq {
-		switch b {
-		case 'A', 'C', 'G', 'T', 'N':
-		default:
-			return i
-		}
-	}
-	return -1
-}
-
 // FormatRegion renders a human-readable region string like "chr1:100-200"
 // given the reference for name lookup.
 func (r *Reference) FormatRegion(iv Interval) string {
