@@ -37,7 +37,7 @@ BENCH_FILE = BENCH_$(BENCH_N).json
 bench-json:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkAblationPipelinedShuffle|BenchmarkShuffleMicro|BenchmarkProjectionPushdown|BenchmarkProjectionPlanner' -benchtime 3x . > $(BENCH_FILE)
 	$(GO) test -json -run '^$$' -bench 'BenchmarkColumnar' -benchtime 100x ./internal/colfmt >> $(BENCH_FILE)
-	$(GO) test -json -run '^$$' -bench 'BenchmarkKernel' -benchmem -benchtime 1s ./internal/caller ./internal/align ./internal/genome ./internal/compress >> $(BENCH_FILE)
+	$(GO) test -json -run '^$$' -bench 'BenchmarkKernel' -benchmem -benchtime 1s ./internal/caller ./internal/cleaner ./internal/align ./internal/genome ./internal/compress >> $(BENCH_FILE)
 	$(GO) test -json -run '^$$' -bench 'BenchmarkShuffleTransport' -benchtime 3x ./internal/engine/exec/mproc >> $(BENCH_FILE)
 
 # scaling regenerates the measured-vs-predicted multi-process curve quoted in

@@ -9,6 +9,8 @@
 package caller
 
 import (
+	"math"
+
 	"github.com/gpf-go/gpf/internal/genome"
 	"github.com/gpf-go/gpf/internal/sam"
 )
@@ -45,34 +47,65 @@ func DefaultConfig() Config {
 
 // pileupCell accumulates per-reference-position evidence.
 type pileupCell struct {
-	depth    int
-	mismatch int
-	indel    int
+	depth    int32
+	mismatch int32
+	indel    int32
+}
+
+// contigPileup is the dense pileup of one contig over the reference span
+// [lo, hi] that a partition's records touch.
+type contigPileup struct {
+	lo, hi int
+	cells  []pileupCell
+}
+
+// usableForPileup reports whether a record contributes to active-region
+// detection.
+func usableForPileup(r *sam.Record) bool {
+	return !r.Unmapped() && !r.Duplicate() && len(r.Seq) != 0
 }
 
 // FindActiveRegions scans aligned records for reference positions where
 // reads disagree with the reference (mismatches or indel breakpoints) and
-// returns padded, merged intervals around them.
+// returns padded, merged intervals around them. Evidence accumulates in a
+// dense per-contig pileup over the span the records touch: a record adds
+// evidence only inside [0, contig length] (an indel may sit just past the
+// last base), and positions no record touched (depth 0) never activate.
 func FindActiveRegions(records []sam.Record, ref *genome.Reference, cfg Config) []genome.Interval {
-	cells := map[genome.Position]*pileupCell{}
-	bump := func(contig, pos int) *pileupCell {
-		key := genome.Position{Contig: contig, Pos: pos}
-		c := cells[key]
-		if c == nil {
-			c = &pileupCell{}
-			cells[key] = c
-		}
-		return c
+	piles := make([]contigPileup, ref.NumContigs())
+	for i := range piles {
+		piles[i].lo, piles[i].hi = math.MaxInt, -1
 	}
+	// Pass 1: the span of positions each contig's records can touch.
 	for i := range records {
 		r := &records[i]
-		if r.Unmapped() || r.Duplicate() || len(r.Seq) == 0 {
+		refSeq := ref.Contig(int(r.RefID))
+		if !usableForPileup(r) || refSeq == nil {
 			continue
 		}
-		contig := int(r.RefID)
-		refSeq := ref.Contig(contig)
-		if refSeq == nil {
+		p := &piles[r.RefID]
+		p.lo = min(p.lo, max(int(r.Pos), 0))
+		p.hi = max(p.hi, min(int(r.End()), len(refSeq.Seq)))
+	}
+	for i := range piles {
+		if p := &piles[i]; p.lo <= p.hi {
+			p.cells = make([]pileupCell, p.hi-p.lo+1)
+		}
+	}
+	// Pass 2: accumulate evidence.
+	for i := range records {
+		r := &records[i]
+		refSeq := ref.Contig(int(r.RefID))
+		if !usableForPileup(r) || refSeq == nil {
 			continue
+		}
+		p := &piles[r.RefID]
+		bumpIndel := func(pos int) {
+			if pos >= 0 && pos <= len(refSeq.Seq) {
+				c := &p.cells[pos-p.lo]
+				c.depth++
+				c.indel++
+			}
 		}
 		readPos, refPos := 0, int(r.Pos)
 		for _, op := range r.Cigar {
@@ -86,7 +119,7 @@ func FindActiveRegions(records []sam.Record, ref *genome.Reference, cfg Config) 
 					if int(r.Qual[readPos+k])-33 < cfg.MinBaseQual {
 						continue
 					}
-					c := bump(contig, rp)
+					c := &p.cells[rp-p.lo]
 					c.depth++
 					if r.Seq[readPos+k] != refSeq.Seq[rp] {
 						c.mismatch++
@@ -95,14 +128,10 @@ func FindActiveRegions(records []sam.Record, ref *genome.Reference, cfg Config) 
 				readPos += op.Len
 				refPos += op.Len
 			case 'I':
-				c := bump(contig, refPos)
-				c.depth++
-				c.indel++
+				bumpIndel(refPos)
 				readPos += op.Len
 			case 'D', 'N':
-				c := bump(contig, refPos)
-				c.depth++
-				c.indel++
+				bumpIndel(refPos)
 				refPos += op.Len
 			case 'S':
 				readPos += op.Len
@@ -110,23 +139,25 @@ func FindActiveRegions(records []sam.Record, ref *genome.Reference, cfg Config) 
 		}
 	}
 	var ivs []genome.Interval
-	for pos, c := range cells {
-		if c.depth < cfg.MinActiveDepth {
-			continue
+	for contig := range piles {
+		p := &piles[contig]
+		contigLen := ref.Contig(contig).Len()
+		for k := range p.cells {
+			c := &p.cells[k]
+			if c.depth == 0 || int(c.depth) < cfg.MinActiveDepth {
+				continue
+			}
+			frac := float64(c.mismatch+c.indel*2) / float64(c.depth)
+			if frac < cfg.MinActiveFrac {
+				continue
+			}
+			pos := p.lo + k
+			ivs = append(ivs, genome.Interval{
+				Contig: contig,
+				Start:  max(pos-cfg.RegionPad, 0),
+				End:    min(pos+cfg.RegionPad, contigLen),
+			})
 		}
-		frac := float64(c.mismatch+c.indel*2) / float64(c.depth)
-		if frac < cfg.MinActiveFrac {
-			continue
-		}
-		start := pos.Pos - cfg.RegionPad
-		if start < 0 {
-			start = 0
-		}
-		end := pos.Pos + cfg.RegionPad
-		if contig := ref.Contig(pos.Contig); contig != nil && end > contig.Len() {
-			end = contig.Len()
-		}
-		ivs = append(ivs, genome.Interval{Contig: pos.Contig, Start: start, End: end})
 	}
 	return genome.MergeIntervals(ivs)
 }

@@ -64,37 +64,32 @@ func variantsFromHaplotype(hap, refWindow []byte, windowStart int, sc align.Scor
 	return out
 }
 
-// regionRead is one read overlapping an active region.
-type regionRead struct {
-	seq  []byte
-	qual []byte
+// regionWork is one active region's genotyping input: the padded reference
+// window, the reads overlapping it and the candidate haplotypes (the
+// reference window first).
+type regionWork struct {
+	contig      *genome.Contig
+	winStart    int
+	refWindow   []byte
+	seqs, quals [][]byte
+	haps        [][]byte
 }
 
-// CallRegion genotypes one active region: assemble haplotypes from the
-// overlapping reads, score reads against haplotypes with the pair-HMM, pick
-// the maximum-likelihood diploid haplotype pair, and emit the variants it
-// implies.
-func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Interval, cfg Config) []vcf.Record {
-	contig := ref.Contig(region.Contig)
-	if contig == nil {
-		return nil
+// gatherRegion collects the usable reads overlapping region's padded window,
+// downsamples them and assembles candidate haplotypes. It reports false when
+// there is nothing to genotype: no reference window, an N in it, no reads,
+// or only the reference haplotype.
+func gatherRegion(records []sam.Record, ref *genome.Reference, region genome.Interval, cfg Config) (regionWork, bool) {
+	w := regionWork{contig: ref.Contig(region.Contig)}
+	if w.contig == nil {
+		return w, false
 	}
-	winStart := region.Start - cfg.RegionPad
-	if winStart < 0 {
-		winStart = 0
+	w.winStart = max(region.Start-cfg.RegionPad, 0)
+	winEnd := min(region.End+cfg.RegionPad, w.contig.Len())
+	w.refWindow = w.contig.Seq[w.winStart:winEnd]
+	if hasN(w.refWindow) {
+		return w, false // assembly anchors require clean reference k-mers
 	}
-	winEnd := region.End + cfg.RegionPad
-	if winEnd > contig.Len() {
-		winEnd = contig.Len()
-	}
-	refWindow := contig.Seq[winStart:winEnd]
-	if hasN(refWindow) {
-		return nil // assembly anchors require clean reference k-mers
-	}
-
-	// Gather overlapping, usable reads.
-	var reads []regionRead
-	var readSeqs [][]byte
 	for i := range records {
 		r := &records[i]
 		if r.Unmapped() || r.Duplicate() || len(r.Seq) == 0 {
@@ -103,43 +98,48 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 		if int(r.RefID) != region.Contig {
 			continue
 		}
-		if int(r.End()) <= winStart || int(r.Pos) >= winEnd {
+		if int(r.End()) <= w.winStart || int(r.Pos) >= winEnd {
 			continue
 		}
-		reads = append(reads, regionRead{seq: r.Seq, qual: r.Qual})
-		readSeqs = append(readSeqs, r.Seq)
+		w.seqs = append(w.seqs, r.Seq)
+		w.quals = append(w.quals, r.Qual)
 	}
-	if len(reads) == 0 {
-		return nil
+	if len(w.seqs) == 0 {
+		return w, false
 	}
 	// Downsample pileups: keep a deterministic stride sample so the
 	// pair-HMM cost per region is bounded regardless of coverage spikes.
-	if cap := cfg.MaxReadsPerRegion; cap > 0 && len(reads) > cap {
-		stride := float64(len(reads)) / float64(cap)
-		sampled := make([]regionRead, 0, cap)
-		sampledSeqs := make([][]byte, 0, cap)
+	if cap := cfg.MaxReadsPerRegion; cap > 0 && len(w.seqs) > cap {
+		stride := float64(len(w.seqs)) / float64(cap)
+		seqs := make([][]byte, 0, cap)
+		quals := make([][]byte, 0, cap)
 		for i := 0; i < cap; i++ {
 			j := int(float64(i) * stride)
-			sampled = append(sampled, reads[j])
-			sampledSeqs = append(sampledSeqs, readSeqs[j])
+			seqs = append(seqs, w.seqs[j])
+			quals = append(quals, w.quals[j])
 		}
-		reads, readSeqs = sampled, sampledSeqs
+		w.seqs, w.quals = seqs, quals
 	}
-
-	haps := assembleHaplotypes(refWindow, readSeqs, cfg.K, cfg.MaxHaplotypes, 2)
-	if len(haps) == 1 {
-		return nil // only the reference haplotype: nothing to call
+	w.haps = assembleHaplotypes(w.refWindow, w.seqs, cfg.K, cfg.MaxHaplotypes, 2)
+	if len(w.haps) == 1 {
+		return w, false // only the reference haplotype: nothing to call
 	}
+	return w, true
+}
 
+// CallRegion genotypes one active region: assemble haplotypes from the
+// overlapping reads, score reads against haplotypes with the pair-HMM, pick
+// the maximum-likelihood diploid haplotype pair, and emit the variants it
+// implies.
+func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Interval, cfg Config) []vcf.Record {
+	w, ok := gatherRegion(records, ref, region, cfg)
+	if !ok {
+		return nil
+	}
+	haps := w.haps
 	// Likelihood matrix: L[read][hap], computed batched so the pair-HMM
-	// scratch rows are pooled once per region rather than per pair.
-	seqs := make([][]byte, len(reads))
-	quals := make([][]byte, len(reads))
-	for i, rd := range reads {
-		seqs[i] = rd.seq
-		quals[i] = rd.qual
-	}
-	L := PairHMMBatch(seqs, quals, haps)
+	// shares work across haplotypes (see PairHMMBatch).
+	L := PairHMMBatch(w.seqs, w.quals, haps)
 
 	// Diploid genotyping over haplotype pairs (h1 <= h2).
 	bestH1, bestH2 := 0, 0
@@ -149,7 +149,7 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 	for h1 := 0; h1 < len(haps); h1++ {
 		for h2 := h1; h2 < len(haps); h2++ {
 			ll := 0.0
-			for i := range reads {
+			for i := range L {
 				ll += logSumExp2(L[i][h1], L[i][h2]) - ln2
 			}
 			if h1 == 0 && h2 == 0 {
@@ -177,12 +177,12 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 	v2 := map[string]hapVariant{}
 	key := func(v hapVariant) string { return fmt.Sprintf("%d:%s>%s", v.pos, v.ref, v.alt) }
 	if bestH1 != 0 {
-		for _, v := range variantsFromHaplotype(haps[bestH1], refWindow, winStart, sc) {
+		for _, v := range variantsFromHaplotype(haps[bestH1], w.refWindow, w.winStart, sc) {
 			v1[key(v)] = v
 		}
 	}
 	if bestH2 != 0 {
-		for _, v := range variantsFromHaplotype(haps[bestH2], refWindow, winStart, sc) {
+		for _, v := range variantsFromHaplotype(haps[bestH2], w.refWindow, w.winStart, sc) {
 			v2[key(v)] = v
 		}
 	}
@@ -207,13 +207,13 @@ func CallRegion(records []sam.Record, ref *genome.Reference, region genome.Inter
 			continue
 		}
 		out = append(out, vcf.Record{
-			Chrom: contig.Name,
+			Chrom: w.contig.Name,
 			Pos:   v.pos,
 			Ref:   v.ref,
 			Alt:   v.alt,
 			Qual:  qual,
 			GT:    gt,
-			Depth: len(reads),
+			Depth: len(w.seqs),
 		})
 	}
 	vcf.SortRecords(out)

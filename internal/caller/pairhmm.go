@@ -1,7 +1,9 @@
 package caller
 
 import (
+	"bytes"
 	"math"
+	"sort"
 
 	"github.com/gpf-go/gpf/internal/bufpool"
 )
@@ -86,38 +88,163 @@ func PairHMMLogLikelihood(read, qual, hap []byte) float64 {
 }
 
 // PairHMMBatch scores every read against every haplotype, returning
-// L[read][hap] = ln P(read | hap). This is the entry point the genotyper
-// uses: the read×haplotype likelihood matrix of one active region is
-// computed with a single pooled scratch slab reused across all pairs,
-// instead of one allocation set per pair. quals is parallel to reads.
-func PairHMMBatch(reads, quals [][]byte, haps [][]byte) [][]float64 {
+// L[read][hap] = ln P(read | hap), bit-identical to pairHMMScaled run per
+// pair. This is the entry point the genotyper uses for one active region's
+// read×haplotype likelihood matrix, and it exploits the region's shape: the
+// assembled haplotypes are mostly the reference window with a variant or
+// two, so equal-length haplotypes share long prefixes. While no row
+// rescales, forward column j of a row depends only on hap[:j], the read, and
+// the start prior 1/n, so after sorting the haplotypes by (length, bytes)
+// each one copies the columns it shares with its predecessor and computes
+// only the rest (GATK's hapStartIndex). See forwardShared for the exactness
+// certificate. quals is parallel to reads.
+func PairHMMBatch(reads, quals, haps [][]byte) [][]float64 {
+	L, _ := pairHMMBatch(reads, quals, haps)
+	return L
+}
+
+// hmmBatchStats counts one batch's forward work.
+type hmmBatchStats struct {
+	cells     int64 // forward cells the per-pair kernel computes for the batch
+	reused    int64 // of those, cells copied from the previous haplotype's row
+	reads     int   // non-empty reads scored against non-empty haplotypes
+	fallbacks int   // reads rescored per pair because a row might rescale
+}
+
+// batchHap is one non-empty haplotype of a batch, in sorted order.
+type batchHap struct {
+	hap   []byte
+	idx   int     // position in the caller's haps
+	share int     // leading columns copied from the previous batchHap
+	start float64 // the uniform start prior 1/n
+	buf   []float64
+	rows  hmmRows
+}
+
+// sortedHaps orders the non-empty haplotypes by (length, bytes) and sets
+// each one's share: its common prefix with the previous haplotype when the
+// two have equal length (the row-1 prior 1/n differs otherwise), capped at
+// n-1 so at least the last column is computed.
+func sortedHaps(haps [][]byte) []batchHap {
+	var bh []batchHap
+	for h, hap := range haps {
+		if len(hap) > 0 {
+			bh = append(bh, batchHap{hap: hap, idx: h, start: 1 / float64(len(hap))})
+		}
+	}
+	sort.SliceStable(bh, func(a, b int) bool {
+		if len(bh[a].hap) != len(bh[b].hap) {
+			return len(bh[a].hap) < len(bh[b].hap)
+		}
+		return bytes.Compare(bh[a].hap, bh[b].hap) < 0
+	})
+	for k := 1; k < len(bh); k++ {
+		prev, cur := bh[k-1].hap, bh[k].hap
+		if len(prev) != len(cur) {
+			continue
+		}
+		s := 0
+		for s < len(cur)-1 && prev[s] == cur[s] {
+			s++
+		}
+		bh[k].share = s
+	}
+	return bh
+}
+
+// pairHMMBatch is PairHMMBatch, also returning the batch's work counts.
+func pairHMMBatch(reads, quals, haps [][]byte) ([][]float64, hmmBatchStats) {
+	var st hmmBatchStats
 	L := make([][]float64, len(reads))
+	flat := make([]float64, len(reads)*len(haps))
+	for i := range L {
+		L[i] = flat[i*len(haps) : (i+1)*len(haps) : (i+1)*len(haps)]
+	}
 	if len(reads) == 0 || len(haps) == 0 {
-		for i := range L {
-			L[i] = make([]float64, len(haps))
-		}
-		return L
+		return L, st
 	}
-	maxN := 0
-	for _, h := range haps {
-		if len(h) > maxN {
-			maxN = len(h)
+	bh := sortedHaps(haps)
+	size := 0
+	for k := range bh {
+		size += 6 * (len(bh[k].hap) + 1)
+	}
+	slab := bufpool.GetF64(size)
+	defer bufpool.PutF64(slab)
+	off := 0
+	for k := range bh {
+		w := 6 * (len(bh[k].hap) + 1)
+		bh[k].buf = slab[off : off+w : off+w]
+		off += w
+	}
+	negInf := math.Inf(-1)
+	for i, read := range reads {
+		out := L[i]
+		for h := range out {
+			out[h] = negInf // empty reads and haplotypes keep -Inf
+		}
+		if len(read) == 0 || len(bh) == 0 {
+			continue
+		}
+		st.reads++
+		for k := range bh {
+			st.cells += int64(len(read) * len(bh[k].hap))
+		}
+		if forwardShared(read, quals[i], bh, out) {
+			for k := range bh {
+				st.reused += int64(len(read) * bh[k].share)
+			}
+			continue
+		}
+		st.fallbacks++
+		for k := range bh {
+			out[bh[k].idx] = pairHMMScaled(read, quals[i], bh[k].hap, bh[k].buf)
 		}
 	}
-	rows := bufpool.GetF64(6 * (maxN + 1))
-	defer bufpool.PutF64(rows)
-	for i := range reads {
-		L[i] = make([]float64, len(haps))
-		for h, hap := range haps {
-			switch {
-			case len(reads[i]) == 0 || len(hap) == 0:
-				L[i][h] = math.Inf(-1)
-			default:
-				L[i][h] = pairHMMScaled(reads[i], quals[i], hap, rows[:6*(len(hap)+1)])
+	return L, st
+}
+
+// forwardShared runs the forward pass of read against every haplotype of bh
+// row by row, copying each haplotype's shared prefix columns from its
+// predecessor's row, and writes ln P(read | hap) into out. It reports false
+// when it cannot certify the result equals pairHMMScaled's.
+//
+// Certificate: pairHMMScaled rescales a row only when its maximum M/I value
+// is below scaledRescaleBelow, and a rescaled row holds values that depend on
+// every column — a copied prefix would then be stale. The computed columns
+// of a row are a subset of the full row, so if their maximum reaches the
+// threshold, the full row's does too, pairHMMScaled leaves that row
+// unscaled, and every cell (copied or computed) is the same product of the
+// same operands. When any row's computed maximum falls short, forwardShared gives
+// up and the caller rescores the read per pair.
+func forwardShared(read, qual []byte, bh []batchHap, out []float64) bool {
+	for k := range bh {
+		bh[k].rows = newHMMRows(bh[k].buf, len(bh[k].hap))
+	}
+	for i := 1; i <= len(read); i++ {
+		e := emitAt(qual, i-1)
+		rb := read[i-1]
+		for k := range bh {
+			h := &bh[k]
+			if s := h.share; s > 0 {
+				p := &bh[k-1].rows
+				copy(h.rows.curM[1:s+1], p.curM[1:s+1])
+				copy(h.rows.curI[1:s+1], p.curI[1:s+1])
+				copy(h.rows.curD[1:s+1], p.curD[1:s+1])
+			}
+			if h.rows.row(i == 1, rb, e, h.hap, h.start, h.share+1) < scaledRescaleBelow {
+				return false
 			}
 		}
+		for k := range bh {
+			bh[k].rows.swap()
+		}
 	}
-	return L
+	// No row rescaled, so logScale is 0 and the last row's maximum is
+	// positive: total > 0.
+	for k := range bh {
+		out[bh[k].idx] = math.Log(bh[k].rows.total())
+	}
+	return true
 }
 
 // scaledRescaleBelow triggers a row rescale in pairHMMScaled: when the row
@@ -126,6 +253,116 @@ func PairHMMBatch(reads, quals [][]byte, haps [][]byte) [][]float64 {
 // 1e-260 leaves ~48 decades of headroom above the smallest normal float64,
 // more than any single row transition can consume.
 const scaledRescaleBelow = 1e-260
+
+// emitAt returns the emission terms for read position i, applying the
+// missing-quality default past the end of qual.
+func emitAt(qual []byte, i int) *emitEntry {
+	if i < len(qual) {
+		return &emitTab[qual[i]]
+	}
+	return &emitTab[defaultQualByte]
+}
+
+// hmmRows is the rolling forward state of one haplotype: the previous and
+// current rows of the M, I and D matrices over columns 0..n.
+type hmmRows struct {
+	prevM, prevI, prevD []float64
+	curM, curI, curD    []float64
+}
+
+// newHMMRows lays the six rows out over buf (length ≥ 6*(n+1), arbitrary
+// contents) and zeroes the previous rows: row 0 of the forward pass.
+func newHMMRows(buf []float64, n int) hmmRows {
+	w := n + 1
+	r := hmmRows{
+		prevM: buf[0:w], prevI: buf[w : 2*w], prevD: buf[2*w : 3*w],
+		curM: buf[3*w : 4*w], curI: buf[4*w : 5*w], curD: buf[5*w : 6*w],
+	}
+	clear(r.prevM)
+	clear(r.prevI)
+	clear(r.prevD)
+	return r
+}
+
+// swap makes the current row the previous one.
+func (r *hmmRows) swap() {
+	r.prevM, r.curM = r.curM, r.prevM
+	r.prevI, r.curI = r.curI, r.prevI
+	r.prevD, r.curD = r.curD, r.prevD
+}
+
+// row computes columns from..n of the current row from the previous one and
+// returns the largest M or I value among them. first marks row 1, whose
+// match cells start from the uniform prior instead of the previous row.
+// Columns 0..from-1 must already hold this row's values (column 0 is 0).
+// The loop walks column-aligned subslices (index k is column from+k) and
+// carries the left neighbour's M and D in registers; each cell is the same
+// arithmetic on the same operands whichever columns a caller asks for.
+func (r *hmmRows) row(first bool, rb byte, e *emitEntry, hap []byte, start float64, from int) float64 {
+	n := len(hap)
+	r.curM[0], r.curI[0], r.curD[0] = 0, 0, 0
+	// emit[1] is the match term, taken where rb equals the haplotype base;
+	// an N read base matches nothing. Indexing by the comparison instead
+	// of branching on it keeps the ~1-in-4 matches off the branch predictor.
+	emit := [2]float64{e.pMismatch, e.pMatch}
+	if rb == 'N' {
+		emit[1] = e.pMismatch
+	}
+	h := hap[from-1:]
+	cm, ci, cd := r.curM[from:n+1], r.curI[from:n+1], r.curD[from:n+1]
+	cm, ci, cd = cm[:len(h)], ci[:len(h)], cd[:len(h)]
+	mLeft, dLeft := r.curM[from-1], r.curD[from-1]
+	rowMax := 0.0
+	if first {
+		for k, hb := range h {
+			mv := emit[eqBit(rb, hb)&1] * start
+			dv := mLeft*probMG + dLeft*probGG
+			cm[k], ci[k], cd[k] = mv, 0, dv
+			mLeft, dLeft = mv, dv
+			if mv > rowMax {
+				rowMax = mv
+			}
+		}
+		return rowMax
+	}
+	// Diagonal (column j-1) and up (column j) views of the previous row.
+	pmDiag, piDiag, pdDiag := r.prevM[from-1:n], r.prevI[from-1:n], r.prevD[from-1:n]
+	pmUp, piUp := r.prevM[from:n+1], r.prevI[from:n+1]
+	pmDiag, piDiag, pdDiag = pmDiag[:len(h)], piDiag[:len(h)], pdDiag[:len(h)]
+	pmUp, piUp = pmUp[:len(h)], piUp[:len(h)]
+	for k, hb := range h {
+		mv := emit[eqBit(rb, hb)&1] * (pmDiag[k]*probMM + (piDiag[k]+pdDiag[k])*probGM)
+		iv := pmUp[k]*probMG + piUp[k]*probGG
+		dv := mLeft*probMG + dLeft*probGG
+		cm[k], ci[k], cd[k] = mv, iv, dv
+		mLeft, dLeft = mv, dv
+		if mv > rowMax {
+			rowMax = mv
+		}
+		if iv > rowMax {
+			rowMax = iv
+		}
+	}
+	return rowMax
+}
+
+// eqBit returns 1 when a == b and 0 otherwise.
+func eqBit(a, b byte) int {
+	if a == b {
+		return 1
+	}
+	return 0
+}
+
+// total is the free trailing flank: the sum over end columns of M and I in
+// the last computed row (after its swap).
+func (r *hmmRows) total() float64 {
+	total := 0.0
+	for j := 1; j < len(r.prevM); j++ {
+		total += r.prevM[j] + r.prevI[j]
+	}
+	return total
+}
 
 // pairHMMScaled is the pair-HMM kernel: the forward recurrence computed on
 // probabilities with per-row rescaling instead of in log space. One cell
@@ -137,77 +374,23 @@ func pairHMMScaled(read, qual, hap []byte, rows []float64) float64 {
 	if m == 0 || n == 0 {
 		return math.Inf(-1)
 	}
-	w := n + 1
-	prevM, prevI, prevD := rows[0:w], rows[w:2*w], rows[2*w:3*w]
-	curM, curI, curD := rows[3*w:4*w], rows[4*w:5*w], rows[5*w:6*w]
-	for j := 0; j <= n; j++ {
-		prevM[j] = 0
-		prevI[j] = 0
-		prevD[j] = 0
-	}
+	r := newHMMRows(rows, n)
 	logScale := 0.0
 	start := 1 / float64(n) // uniform prior over start columns
 	for i := 1; i <= m; i++ {
-		curM[0], curI[0], curD[0] = 0, 0, 0
-		qb := byte(defaultQualByte)
-		if i-1 < len(qual) {
-			qb = qual[i-1]
-		}
-		e := &emitTab[qb]
-		pMatch, pMismatch := e.pMatch, e.pMismatch
-		rb := read[i-1]
-		rowMax := 0.0
-		if i == 1 {
-			for j := 1; j <= n; j++ {
-				emit := pMismatch
-				if rb == hap[j-1] && rb != 'N' {
-					emit = pMatch
-				}
-				mv := emit * start
-				curM[j] = mv
-				curI[j] = 0
-				curD[j] = curM[j-1]*probMG + curD[j-1]*probGG
-				if mv > rowMax {
-					rowMax = mv
-				}
-			}
-		} else {
-			for j := 1; j <= n; j++ {
-				emit := pMismatch
-				if rb == hap[j-1] && rb != 'N' {
-					emit = pMatch
-				}
-				mv := emit * (prevM[j-1]*probMM + (prevI[j-1]+prevD[j-1])*probGM)
-				iv := prevM[j]*probMG + prevI[j]*probGG
-				curM[j] = mv
-				curI[j] = iv
-				curD[j] = curM[j-1]*probMG + curD[j-1]*probGG
-				if mv > rowMax {
-					rowMax = mv
-				}
-				if iv > rowMax {
-					rowMax = iv
-				}
-			}
-		}
+		rowMax := r.row(i == 1, read[i-1], emitAt(qual, i-1), hap, start, 1)
 		if rowMax > 0 && rowMax < scaledRescaleBelow {
 			inv := 1 / rowMax
 			for j := 1; j <= n; j++ {
-				curM[j] *= inv
-				curI[j] *= inv
-				curD[j] *= inv
+				r.curM[j] *= inv
+				r.curI[j] *= inv
+				r.curD[j] *= inv
 			}
 			logScale += math.Log(rowMax)
 		}
-		prevM, curM = curM, prevM
-		prevI, curI = curI, prevI
-		prevD, curD = curD, prevD
+		r.swap()
 	}
-	// Free trailing flank: sum over end columns of M and I.
-	total := 0.0
-	for j := 1; j <= n; j++ {
-		total += prevM[j] + prevI[j]
-	}
+	total := r.total()
 	if total == 0 {
 		return math.Inf(-1)
 	}

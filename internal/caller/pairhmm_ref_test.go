@@ -70,3 +70,18 @@ func pairHMMReference(read, qual, hap []byte) float64 {
 	}
 	return total
 }
+
+// pairHMMBatchPerPair is the per-pair batch: every read scored against every
+// haplotype with its own pairHMMScaled pass. PairHMMBatch must match it bit
+// for bit.
+func pairHMMBatchPerPair(reads, quals, haps [][]byte) [][]float64 {
+	L := make([][]float64, len(reads))
+	for i := range reads {
+		L[i] = make([]float64, len(haps))
+		for h, hap := range haps {
+			rows := make([]float64, 6*(len(hap)+1))
+			L[i][h] = pairHMMScaled(reads[i], quals[i], hap, rows)
+		}
+	}
+	return L
+}

@@ -1,11 +1,18 @@
 package caller
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"github.com/gpf-go/gpf/internal/align"
 	"github.com/gpf-go/gpf/internal/bufpool"
+	"github.com/gpf-go/gpf/internal/cleaner"
+	"github.com/gpf-go/gpf/internal/sam"
+	"github.com/gpf-go/gpf/internal/workload"
 )
 
 // randomHMMCase builds a (read, qual, hap) triple: a haplotype, a read copied
@@ -16,6 +23,11 @@ func randomHMMCase(rng *rand.Rand, maxHap, maxRead int) (read, qual, hap []byte)
 	hap = make([]byte, n)
 	for i := range hap {
 		hap[i] = bases[rng.Intn(4)]
+	}
+	// Sometimes an N in the haplotype, which the read may copy: N never
+	// matches, not even N.
+	if rng.Float64() < 0.2 {
+		hap[rng.Intn(n)] = 'N'
 	}
 	m := 5 + rng.Intn(maxRead-5)
 	if m > n {
@@ -244,11 +256,189 @@ func BenchmarkKernelPairHMMFast(b *testing.B) {
 	}
 }
 
+// regionHaps returns haplotypes shaped like one active region's: a reference
+// window and variants of it that share prefixes of every length with the
+// window and with each other.
+func regionHaps(rng *rand.Rand, n int) [][]byte {
+	ref := randomBases(rng, n)
+	snv := func(h []byte, at int) []byte {
+		h = append([]byte(nil), h...)
+		h[at] = "CGTA"[strings.IndexByte("ACGT", h[at])]
+		return h
+	}
+	ins := append(append(append([]byte(nil), ref[:n/2]...), "GA"...), ref[n/2:]...)
+	del := append(append([]byte(nil), ref[:n/3]...), ref[n/3+3:]...)
+	return [][]byte{
+		ref,
+		snv(ref, n/2),
+		snv(ref, n-1),               // shares n-1 columns with ref
+		snv(snv(ref, n/2), 3*n/4),   // shares 3n/4 with the SNV above
+		append([]byte(nil), ref...), // duplicate
+		snv(ref, 0),                 // shares nothing
+		ins,
+		del,
+	}
+}
+
+func randomBases(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = "ACGT"[rng.Intn(4)]
+	}
+	return b
+}
+
+func (s *hmmBatchStats) add(o hmmBatchStats) {
+	s.cells += o.cells
+	s.reused += o.reused
+	s.reads += o.reads
+	s.fallbacks += o.fallbacks
+}
+
+// checkBatchBits asserts PairHMMBatch equals the per-pair oracle bit for bit
+// and returns the batch's work counts.
+func checkBatchBits(t *testing.T, name string, reads, quals, haps [][]byte) hmmBatchStats {
+	t.Helper()
+	got, st := pairHMMBatch(reads, quals, haps)
+	want := pairHMMBatchPerPair(reads, quals, haps)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, oracle %d", name, len(got), len(want))
+	}
+	for i := range want {
+		for h := range want[i] {
+			if math.Float64bits(got[i][h]) != math.Float64bits(want[i][h]) {
+				t.Fatalf("%s: L[%d][%d] = %v, per-pair oracle %v", name, i, h, got[i][h], want[i][h])
+			}
+		}
+	}
+	if pub := PairHMMBatch(reads, quals, haps); len(pub) != len(got) {
+		t.Fatalf("%s: PairHMMBatch returned %d rows", name, len(pub))
+	}
+	return st
+}
+
+// TestKernelPairHMMBatchPrefixReuse checks the prefix-sharing batch against
+// the per-pair oracle bit for bit over region-shaped haplotype sets: mixed
+// lengths, prefixes shared up to n-1 columns, duplicates, N bases in reads
+// and haplotypes, empty reads and haplotypes, short quality strings, and
+// reads long and foreign enough to make rows rescale, which must take the
+// per-pair fallback.
+func TestKernelPairHMMBatchPrefixReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var total hmmBatchStats
+	for c := 0; c < 40; c++ {
+		haps := regionHaps(rng, 40+rng.Intn(120))
+		if c%5 == 0 {
+			n := haps[0]
+			withN := append([]byte(nil), n...)
+			withN[len(withN)/3] = 'N'
+			haps = append(haps, withN, nil, []byte("A"), []byte("A"))
+		}
+		var reads, quals [][]byte
+		for r := 0; r < 12; r++ {
+			read, qual, _ := randomHMMCase(rng, 60, 50)
+			src := haps[rng.Intn(len(haps))]
+			if len(src) > 20 {
+				off := rng.Intn(len(src) - 10)
+				read = append([]byte(nil), src[off:min(len(src), off+5+rng.Intn(80))]...)
+				qual = qual[:min(len(qual), len(read))]
+				if rng.Intn(4) == 0 {
+					read[rng.Intn(len(read))] = 'N'
+				}
+			}
+			reads, quals = append(reads, read), append(quals, qual)
+		}
+		reads, quals = append(reads, nil), append(quals, nil)
+		// An all-N read mismatches every column; its cheapest path runs
+		// through the insert state at probGG per row, one decade a row, so
+		// past ~260 rows they rescale and the read must fall back.
+		nRead := bytes.Repeat([]byte{'N'}, 300+rng.Intn(100))
+		reads, quals = append(reads, nRead), append(quals, bytes.Repeat([]byte{33 + 40}, len(nRead)))
+		st := checkBatchBits(t, fmt.Sprintf("case %d", c), reads, quals, haps)
+		total.add(st)
+	}
+	if total.fallbacks == 0 {
+		t.Fatal("no read took the rescale fallback")
+	}
+	if total.reused == 0 {
+		t.Fatal("no forward cell was reused")
+	}
+	t.Logf("reused %d of %d cells (%.1f%%); %d of %d reads fell back",
+		total.reused, total.cells, 100*float64(total.reused)/float64(total.cells), total.fallbacks, total.reads)
+	// Degenerate shapes.
+	checkBatchBits(t, "no reads", nil, nil, [][]byte{[]byte("ACGT")})
+	checkBatchBits(t, "no haps", [][]byte{[]byte("ACGT")}, [][]byte{[]byte("IIII")}, nil)
+	checkBatchBits(t, "only empty haps", [][]byte{[]byte("ACGT")}, [][]byte{[]byte("IIII")}, [][]byte{nil, {}})
+}
+
+// TestKernelPairHMMReuseShare logs how much pair-HMM work prefix reuse saves
+// and how often the rescale fallback runs over the active regions of the
+// SmallScale seed-42 dataset, and checks every region's matrix against the
+// per-pair oracle.
+func TestKernelPairHMMReuseShare(t *testing.T) {
+	p := workload.DefaultProfile(workload.WGS, 30000)
+	p.Coverage = 8
+	d := workload.Make(p, 42)
+	idx, err := align.BuildFMIndex(d.Ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aligner := align.NewAligner(idx, align.DefaultConfig())
+	var records []sam.Record
+	for i := range d.Pairs {
+		r1, r2 := aligner.AlignPair(&d.Pairs[i])
+		records = append(records, r1, r2)
+	}
+	cleaner.SortByCoordinate(records)
+	cleaner.MarkDuplicates(records)
+	cfg := DefaultConfig()
+	var total hmmBatchStats
+	regions := FindActiveRegions(records, d.Ref, cfg)
+	for _, region := range regions {
+		w, ok := gatherRegion(records, d.Ref, region, cfg)
+		if !ok {
+			continue
+		}
+		st := checkBatchBits(t, d.Ref.FormatRegion(region), w.seqs, w.quals, w.haps)
+		total.add(st)
+	}
+	if total.cells == 0 {
+		t.Fatal("no pair-HMM work over the dataset")
+	}
+	t.Logf("%d active regions: reused %d of %d forward cells (%.1f%%); %d of %d reads fell back to per-pair (%.2f%%)",
+		len(regions), total.reused, total.cells, 100*float64(total.reused)/float64(total.cells),
+		total.fallbacks, total.reads, 100*float64(total.fallbacks)/float64(total.reads))
+}
+
+// benchBatchInputs is one region-shaped batch: 16 reads of 100 bp drawn
+// from the haplotypes of regionHaps over a 160 bp window.
+func benchBatchInputs() (reads, quals, haps [][]byte) {
+	rng := rand.New(rand.NewSource(42))
+	haps = regionHaps(rng, 160)
+	for r := 0; r < 16; r++ {
+		src := haps[r%len(haps)]
+		off := rng.Intn(len(src) - 100)
+		read := append([]byte(nil), src[off:off+100]...)
+		for i := range read {
+			if rng.Float64() < 0.01 {
+				read[i] = "ACGT"[rng.Intn(4)]
+			}
+		}
+		reads, quals = append(reads, read), append(quals, bytes.Repeat([]byte{33 + 30}, len(read)))
+	}
+	return reads, quals, haps
+}
+
+func BenchmarkKernelPairHMMBatchPerPair(b *testing.B) {
+	reads, quals, haps := benchBatchInputs()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pairHMMBatchPerPair(reads, quals, haps)
+	}
+}
+
 func BenchmarkKernelPairHMMBatch(b *testing.B) {
-	read, qual, hap := benchHMMInputs()
-	reads := [][]byte{read, read, read, read}
-	quals := [][]byte{qual, qual, qual, qual}
-	haps := [][]byte{hap, hap}
+	reads, quals, haps := benchBatchInputs()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		PairHMMBatch(reads, quals, haps)

@@ -188,59 +188,93 @@ func BuildRecalTable(records []sam.Record, ref *genome.Reference, known KnownSit
 	return t
 }
 
-// recalibratedQual computes the recalibrated Phred for a base using the
-// GATK delta decomposition: empirical(Q) shifted by the cycle and context
-// deltas relative to the global empirical quality.
-func (t *RecalTable) recalibratedQual(reportedQ, cycle int, prev, cur byte) int {
-	if t.Global.Obs == 0 {
-		return reportedQ
-	}
-	q := reportedQ
-	if q >= maxQual {
-		q = maxQual - 1
-	}
-	if q < 0 {
-		q = 0
-	}
+// recalTables is a RecalTable's apply form: the GATK delta decomposition
+// (empirical(Q) shifted by the cycle and context deltas relative to the
+// global empirical quality) with every empiricalQual evaluated once per bin
+// instead of once per base. Bins with no observations carry a zero delta,
+// and out + 0 == out, so a base's sum is bit-identical to adding only the
+// observed deltas.
+type recalTables struct {
+	byQual     [256]float64            // indexed by the raw Phred+33 byte
+	cycleDelta [maxCycle]float64       // indexed by cycleBin
+	ctxDelta   [numContext + 1]float64 // numContext: a non-ACGT context
+}
+
+func newRecalTables(t *RecalTable) *recalTables {
+	rt := &recalTables{}
 	global := t.Global.empiricalQual()
-	out := t.ByQual[q].empiricalQual()
-	if c := t.ByCycle[cycleBin(cycle)]; c.Obs > 0 {
-		out += c.empiricalQual() - global
+	for b := range rt.byQual {
+		q := min(max(b-33, 0), maxQual-1)
+		rt.byQual[b] = t.ByQual[q].empiricalQual()
 	}
-	if ctx := contextBin(prev, cur); ctx >= 0 && t.ByCtx[ctx].Obs > 0 {
-		out += t.ByCtx[ctx].empiricalQual() - global
+	for i, c := range t.ByCycle {
+		if c.Obs > 0 {
+			rt.cycleDelta[i] = c.empiricalQual() - global
+		}
 	}
-	qi := int(out + 0.5)
-	if qi < 2 {
-		qi = 2
+	for i, c := range t.ByCtx {
+		if c.Obs > 0 {
+			rt.ctxDelta[i] = c.empiricalQual() - global
+		}
 	}
-	if qi > 60 {
-		qi = 60
-	}
-	return qi
+	return rt
 }
 
 // ApplyRecalibration runs BQSR pass 2 over one partition, rewriting base
-// qualities in place using the merged table.
+// qualities in place using the merged table. The new quality strings share
+// one allocation per partition.
 func ApplyRecalibration(records []sam.Record, t *RecalTable) error {
 	if t == nil {
 		return fmt.Errorf("cleaner: nil recalibration table")
+	}
+	n := 0
+	for i := range records {
+		if r := &records[i]; !r.Unmapped() && len(r.Qual) == len(r.Seq) {
+			n += len(r.Qual)
+		}
+	}
+	slab := make([]byte, n)
+	var rt *recalTables
+	if t.Global.Obs > 0 {
+		rt = newRecalTables(t)
 	}
 	for i := range records {
 		r := &records[i]
 		if r.Unmapped() || len(r.Qual) != len(r.Seq) {
 			continue
 		}
-		newQual := make([]byte, len(r.Qual))
-		for j := range r.Qual {
-			reported := int(r.Qual[j]) - 33
-			var prev byte = 'N'
-			if j > 0 {
-				prev = r.Seq[j-1]
-			}
-			newQual[j] = byte(t.recalibratedQual(reported, j, prev, r.Seq[j]) + 33)
+		newQual := slab[:len(r.Qual):len(r.Qual)]
+		slab = slab[len(r.Qual):]
+		if rt == nil {
+			// An empty table leaves every reported quality as it is.
+			copy(newQual, r.Qual)
+		} else {
+			rt.apply(newQual, r.Qual, r.Seq)
 		}
 		r.Qual = newQual
 	}
 	return nil
+}
+
+// apply writes the recalibrated Phred+33 qualities of one read into dst.
+func (rt *recalTables) apply(dst, qual, seq []byte) {
+	var prev byte = 'N' // the base before the read
+	for j, qb := range qual {
+		ctx := contextBin(prev, seq[j])
+		if ctx < 0 {
+			ctx = numContext
+		}
+		prev = seq[j]
+		out := rt.byQual[qb]
+		out += rt.cycleDelta[cycleBin(j)]
+		out += rt.ctxDelta[ctx]
+		qi := int(out + 0.5)
+		if qi < 2 {
+			qi = 2
+		}
+		if qi > 60 {
+			qi = 60
+		}
+		dst[j] = byte(qi + 33)
+	}
 }

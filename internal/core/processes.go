@@ -366,12 +366,16 @@ func (p *BaseRecalibrationProcess) Run(rt *Runtime) error {
 	// that throttles BQSR's parallel efficiency.
 	bc := engine.NewBroadcast(rt.Engine, p.name+"/broadcast-mask-table", merged, merged.SizeBytes())
 	// Pass 2: apply.
-	next, err := engine.Map(p.name+"/apply-recalibration", bundled, nil, func(b Bundle) Bundle {
-		recs := append([]sam.Record(nil), b.Sams...)
-		if err := cleaner.ApplyRecalibration(recs, bc.Value); err == nil {
-			b.Sams = recs
+	next, err := engine.MapPartitions(p.name+"/apply-recalibration", bundled, nil, func(_ int, bs []Bundle) ([]Bundle, error) {
+		out := make([]Bundle, len(bs))
+		for i, b := range bs {
+			b.Sams = append([]sam.Record(nil), b.Sams...)
+			if err := cleaner.ApplyRecalibration(b.Sams, bc.Value); err != nil {
+				return nil, err
+			}
+			out[i] = b
 		}
-		return b
+		return out, nil
 	})
 	if err != nil {
 		return err

@@ -119,7 +119,7 @@ func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 		res := &Dataset[T]{ctx: d.ctx, codec: codec}
 		res.plan = &lineage[T]{
 			nparts:   d.plan.nparts,
-			ops:      append([]string(nil), d.plan.ops...),
+			ops:      d.plan.ops,
 			compute:  d.plan.compute,
 			sizeHint: d.plan.sizeHint,
 			inMask:   d.plan.inMask,
@@ -141,7 +141,7 @@ func WithCodec[T any](d *Dataset[T], codec Serializer[T]) *Dataset[T] {
 		res := &Dataset[T]{ctx: d.ctx, codec: codec}
 		res.plan = &lineage[T]{
 			nparts:   d.NumPartitions(),
-			ops:      []string{"recode"},
+			ops:      func(FieldMask) []string { return []string{"recode"} },
 			sizeHint: d.partitionSizeHint,
 			inMask:   inMaskOf(d, identity),
 			compute: func(p int, tm *TaskMetrics, need FieldMask) ([]T, error) {

@@ -22,9 +22,12 @@ import (
 // the typed compute machinery.
 type lineage[T any] struct {
 	nparts int
-	// ops holds the recorded op names in execution order; the fused stage is
-	// named by joining them with "+".
-	ops []string
+	// ops returns, in execution order, the names of the ops a run of the
+	// chain under demand need executes; the fused stage is named by joining
+	// them with "+". It is evaluated when the chain runs, not when it is
+	// recorded: an upstream prefix that has since been materialized as its
+	// own stage is read from storage and is not part of this one.
+	ops func(need FieldMask) []string
 	// compute evaluates partition p through the whole fused chain, materializing
 	// only the fields in need (demanded by the consumer; FieldsAll when unknown).
 	// It reads ancestor partitions via Dataset.partitionNeed with the demand
@@ -41,27 +44,29 @@ type lineage[T any] struct {
 	inMask func(need FieldMask) FieldMask
 }
 
-// fusedName joins the recorded op names into the fused stage name.
-func (l *lineage[T]) fusedName() string { return strings.Join(l.ops, "+") }
-
 // isLazy reports whether the dataset still has an unforced plan.
 func (d *Dataset[T]) isLazy() bool {
 	return d.plan != nil && d.meta != nil && !d.meta.done.Load()
 }
 
-// lineageOps returns the pending op names of a lazy dataset (nil otherwise).
-func (d *Dataset[T]) lineageOps() []string {
-	if d.isLazy() {
-		return d.plan.ops
+// fusedOps returns the op names a read of d under demand need executes:
+// d's chain when partitionNeed recomputes it (d is still lazy, or was
+// materialized narrower than need), nil when the read is served from
+// storage.
+func (d *Dataset[T]) fusedOps(need FieldMask) []string {
+	if d.plan != nil && (d.isLazy() || d.hasContent && need&^d.content != 0) {
+		return d.plan.ops(need)
 	}
 	return nil
 }
 
-// chainOps builds the op list for a new lineage node: the pending upstream
-// ops followed by name.
-func chainOps(upstream []string, name string) []string {
-	ops := make([]string, 0, len(upstream)+1)
-	ops = append(ops, upstream...)
+// chainOps builds the op list of a lineage node at run time: the ops its
+// inputs' reads execute, followed by name.
+func chainOps(name string, upstream ...[]string) []string {
+	var ops []string
+	for _, up := range upstream {
+		ops = append(ops, up...)
+	}
 	return append(ops, name)
 }
 
@@ -119,8 +124,10 @@ func lazyNarrow[T, U any](name string, d *Dataset[T], codec Serializer[U], fx fi
 		ctx:   d.ctx,
 		codec: codec,
 		plan: &lineage[U]{
-			nparts:   d.NumPartitions(),
-			ops:      chainOps(d.lineageOps(), name),
+			nparts: d.NumPartitions(),
+			ops: func(need FieldMask) []string {
+				return chainOps(name, d.fusedOps(fx.inNeed(need)))
+			},
 			sizeHint: d.partitionSizeHint,
 			inMask:   inMaskOf(d, fx),
 			compute: func(p int, tm *TaskMetrics, need FieldMask) ([]U, error) {
@@ -163,8 +170,10 @@ func lazyZip2[A, B, U any](name string, a *Dataset[A], b *Dataset[B], codec Seri
 		ctx:   a.ctx,
 		codec: codec,
 		plan: &lineage[U]{
-			nparts:   a.NumPartitions(),
-			ops:      chainOps(append(append([]string(nil), a.lineageOps()...), b.lineageOps()...), name),
+			nparts: a.NumPartitions(),
+			ops: func(need FieldMask) []string {
+				return chainOps(name, a.fusedOps(fxA.inNeed(need)), b.fusedOps(fxB.inNeed(need)))
+			},
 			sizeHint: func(p int) int64 { return a.partitionSizeHint(p) + b.partitionSizeHint(p) },
 			inMask:   func(need FieldMask) FieldMask { return inA(need) | inB(need) },
 			compute: func(p int, tm *TaskMetrics, need FieldMask) ([]U, error) {
@@ -198,14 +207,14 @@ func lazyZip3[A, B, C, U any](name string, a *Dataset[A], b *Dataset[B], c *Data
 	fxB := zipFX(fx, sameRecordType[B, U]())
 	fxC := zipFX(fx, sameRecordType[C, U]())
 	inA, inB, inC := inMaskOf(a, fxA), inMaskOf(b, fxB), inMaskOf(c, fxC)
-	ops := append(append([]string(nil), a.lineageOps()...), b.lineageOps()...)
-	ops = append(ops, c.lineageOps()...)
 	res := &Dataset[U]{
 		ctx:   a.ctx,
 		codec: codec,
 		plan: &lineage[U]{
-			nparts:   a.NumPartitions(),
-			ops:      chainOps(ops, name),
+			nparts: a.NumPartitions(),
+			ops: func(need FieldMask) []string {
+				return chainOps(name, a.fusedOps(fxA.inNeed(need)), b.fusedOps(fxB.inNeed(need)), c.fusedOps(fxC.inNeed(need)))
+			},
 			sizeHint: func(p int) int64 { return a.partitionSizeHint(p) + b.partitionSizeHint(p) + c.partitionSizeHint(p) },
 			inMask:   func(need FieldMask) FieldMask { return inA(need) | inB(need) | inC(need) },
 			compute: func(p int, tm *TaskMetrics, need FieldMask) ([]U, error) {
@@ -266,16 +275,17 @@ func (d *Dataset[T]) Retain() { d.meta.claim() }
 // runFused executes the dataset's fused plan: one stage, one task per
 // partition, each task streaming its partition through the composed closures
 // and storing only the final output. The stage is recorded under the joined
-// op names with FusedOps set to the chain length and the resolved edge masks
-// in InMask/OutMask. When the planner resolved a narrow demand and the codec
-// can project, the output blocks are encoded column-pruned; Dataset.content
-// remembers the narrowing so a later wider read recomputes instead of
-// serving zeroes.
+// names of the ops this run executes, with FusedOps set to their count and
+// the resolved edge masks in InMask/OutMask. When the planner resolved a
+// narrow demand and the codec can project, the output blocks are encoded
+// column-pruned; Dataset.content remembers the narrowing so a later wider
+// read recomputes instead of serving zeroes.
 func runFused[T any](d *Dataset[T], need FieldMask) error {
 	pl := d.plan
 	n := pl.nparts
 	allocResult(d, n, need)
-	stage := StageMetrics{Name: pl.fusedName(), Kind: StageNarrow, FusedOps: len(pl.ops), OutMask: need}
+	ops := pl.ops(need)
+	stage := StageMetrics{Name: strings.Join(ops, "+"), Kind: StageNarrow, FusedOps: len(ops), OutMask: need}
 	if pl.inMask != nil {
 		stage.InMask = pl.inMask(need)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -350,6 +351,68 @@ func TestFusionZipChainsFuse(t *testing.T) {
 		if !strings.Contains(fused.Name, op) {
 			t.Fatalf("fused name %q missing op %q", fused.Name, op)
 		}
+	}
+}
+
+// TestFusionSharedPrefixNamesExecutedOps: a fused stage is named after, and
+// counts, only the ops it executes. In the diamond a → {b1, b2} → zip, with
+// b1 also feeding a chain recorded for later, the planner materializes the
+// shared nodes a and b1 as their own stages; the stages recorded after them
+// read them from storage and must not name or count them again.
+func TestFusionSharedPrefixNamesExecutedOps(t *testing.T) {
+	ctx := NewContext(2)
+	d := Parallelize(ctx, intRange(20), 2)
+	inc := func(x int) int { return x + 1 }
+	a, err := Map("a", d, nil, inc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, err := Map("b1", a, nil, inc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := Map("b2", a, nil, inc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, err := ZipPartitions2("zip", b1, b2, nil, func(_ int, xs, ys []int) ([]int, error) {
+		out := make([]int, len(xs))
+		for i := range xs {
+			out[i] = xs[i] + ys[i]
+		}
+		return out, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Recorded while a and b1 are lazy, run after both are materialized.
+	tail, err := Map("tail", b1, nil, inc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Collect("c", z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != 4 || out[19] != 42 {
+		t.Fatalf("diamond = %v", out)
+	}
+	if err := tail.Force(); err != nil {
+		t.Fatal(err)
+	}
+	m := ctx.Metrics()
+	var got []string
+	for _, st := range m.Stages {
+		if st.Kind == StageNarrow {
+			got = append(got, fmt.Sprintf("%s/%d", st.Name, st.FusedOps))
+		}
+	}
+	want := []string{"a/1", "b1/1", "b2+zip/2", "tail/1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("narrow stages (name/FusedOps) = %v, want %v", got, want)
+	}
+	if n := m.TotalFusedOps(); n != 5 {
+		t.Fatalf("TotalFusedOps = %d, want 5: each op once", n)
 	}
 }
 
